@@ -29,6 +29,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -175,9 +176,9 @@ type Job struct {
 	// served entirely from caches — they do no simulation work).
 	Progress *JobProgress `json:"progress,omitempty"`
 
-	result string             // rendered output, available when done
-	cancel context.CancelFunc // cancels this job's context
-	stream *jobStream         // per-job progress frame stream
+	result string                 // rendered output, available when done
+	cancel context.CancelFunc     // cancels this job's context
+	stream *telemetry.Broadcaster // per-job progress frame stream
 }
 
 // jobSched is the per-job scheduler summary in API responses.
@@ -195,15 +196,16 @@ type jobSched struct {
 // Daemon is the simulation service. Create with New, serve via Handler
 // (or Start), stop with Shutdown.
 type Daemon struct {
-	opt   Options
-	sch   *sched.Scheduler
-	st    *store.Store
-	hub   *telemetry.Hub
-	tsv   *telemetry.Server
-	log   *slog.Logger
-	base  context.Context // parent of every job context; canceled on forced shutdown
-	stop  context.CancelFunc
-	slots chan struct{} // RunningJobs execution slots
+	opt    Options
+	sch    *sched.Scheduler
+	st     *store.Store
+	hub    *telemetry.Hub
+	tsv    *telemetry.Server
+	log    *slog.Logger
+	fanout telemetry.Counters // accounting shared by every job stream
+	base   context.Context    // parent of every job context; canceled on forced shutdown
+	stop   context.CancelFunc
+	slots  chan struct{} // RunningJobs execution slots
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
@@ -299,6 +301,9 @@ func (d *Daemon) metricsReadings() []metrics.Reading {
 		{Name: "serve.jobs_active", Kind: metrics.ReadGauge, Value: float64(active)},
 		{Name: "serve.jobs_total", Kind: metrics.ReadGauge, Value: float64(total)},
 		{Name: "serve.draining", Kind: metrics.ReadGauge, Value: draining},
+		{Name: "serve.stream_frames_published_total", Kind: metrics.ReadCounter, Value: float64(d.fanout.Published.Load())},
+		{Name: "serve.stream_frames_dropped_total", Kind: metrics.ReadCounter, Value: float64(d.fanout.Dropped.Load())},
+		{Name: "serve.stream_slow_disconnects_total", Kind: metrics.ReadCounter, Value: float64(d.fanout.SlowDisconnects.Load())},
 	}
 }
 
@@ -390,41 +395,33 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // validate rejects a submission the simulator would reject, before it
-// costs a queue slot.
+// costs a queue slot. The configuration fields are checked for both
+// kinds, so an experiment request with a bad scale or organization
+// fails closed too.
 func (r SubmitRequest) validate() (kind string, err error) {
-	switch {
-	case r.Experiment != "" && r.Kernel != "":
-		return "", errors.New("set either experiment or kernel, not both")
-	case r.Experiment != "":
-		if carf.DescribeExperiment(r.Experiment) == "" {
+	if (r.Experiment == "") == (r.Kernel == "") {
+		return "", errors.New("set exactly one of experiment or kernel")
+	}
+	cfg := carf.Config{
+		Organization: carf.Organization(r.Organization),
+		DPlusN:       r.DPlusN,
+		ShortRegs:    r.ShortRegs,
+		LongRegs:     r.LongRegs,
+		Scale:        r.Scale,
+	}
+	if err := cfg.Validate(); err != nil {
+		return "", err
+	}
+	if r.Experiment != "" {
+		if !slices.Contains(carf.Experiments(), r.Experiment) {
 			return "", fmt.Errorf("unknown experiment %q (known: %v)", r.Experiment, carf.Experiments())
 		}
 		return "experiment", nil
-	case r.Kernel != "":
-		cfg := carf.Config{
-			Organization: carf.Organization(r.Organization),
-			DPlusN:       r.DPlusN,
-			ShortRegs:    r.ShortRegs,
-			LongRegs:     r.LongRegs,
-			Scale:        r.Scale,
-		}
-		if err := cfg.Validate(); err != nil {
-			return "", err
-		}
-		known := false
-		for _, k := range carf.Kernels() {
-			if k == r.Kernel {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return "", fmt.Errorf("unknown kernel %q", r.Kernel)
-		}
-		return "kernel", nil
-	default:
-		return "", errors.New("set experiment or kernel")
 	}
+	if !slices.Contains(carf.Kernels(), r.Kernel) {
+		return "", fmt.Errorf("unknown kernel %q", r.Kernel)
+	}
+	return "kernel", nil
 }
 
 func (d *Daemon) submit(w http.ResponseWriter, r *http.Request) {
@@ -470,7 +467,7 @@ func (d *Daemon) submit(w http.ResponseWriter, r *http.Request) {
 		Spec:      req,
 		Status:    StatusQueued,
 		Submitted: time.Now(),
-		stream:    newJobStream(),
+		stream:    telemetry.NewBroadcaster(telemetry.StreamReplay, &d.fanout),
 	}
 	ctx, cancel := context.WithTimeout(d.base, d.opt.JobTimeout)
 	j.cancel = cancel
@@ -574,11 +571,7 @@ func (d *Daemon) finish(j *Job, text string, st sched.Stats, err error) {
 			frame.Note = "joined an identical in-flight run — progress was reported on the leader's stream"
 		}
 	}
-	if payload, merr := json.Marshal(frame); merr == nil {
-		j.stream.finish(payload)
-	} else {
-		j.stream.finish([]byte(`{"type":"done"}`))
-	}
+	j.stream.Close(frame)
 }
 
 // jobProgress records a job's latest progress snapshot and publishes a
@@ -591,9 +584,7 @@ func (d *Daemon) jobProgress(j *Job, label string, p sched.Progress) {
 		j.Progress = jp
 	}
 	d.mu.Unlock()
-	if payload, err := json.Marshal(JobStreamFrame{Type: "progress", ID: j.ID, Progress: jp}); err == nil {
-		j.stream.publish(payload)
-	}
+	j.stream.Publish(JobStreamFrame{Type: "progress", ID: j.ID, Progress: jp})
 }
 
 // runJob is the real execution body: experiments through the

@@ -11,6 +11,7 @@ import (
 
 	"carf/internal/sched"
 	"carf/internal/store"
+	"carf/internal/telemetry"
 )
 
 // readJobFrames decodes data: lines from a job's SSE stream until it
@@ -155,5 +156,52 @@ func TestJobStreamUnknownID(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 404 {
 		t.Errorf("status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestJobStreamSlowFollowerCutOff: the stream disconnect policy covers
+// job streams. A follower that stops reading is cut off and counted in
+// /metrics, while one that keeps up gets every progress frame and the
+// done frame.
+func TestJobStreamSlowFollowerCutOff(t *testing.T) {
+	d, _ := newTestDaemon(t, Options{})
+	j := &Job{ID: "r-slow", Client: "c1", stream: telemetry.NewBroadcaster(telemetry.StreamReplay, &d.fanout)}
+	_, stalled, cancelStalled := j.stream.Subscribe()
+	defer cancelStalled()
+	_, healthy, cancelHealthy := j.stream.Subscribe()
+	defer cancelHealthy()
+
+	const frames = 1000 // well past any follower buffer plus the drop limit
+	for i := 0; i < frames; i++ {
+		d.jobProgress(j, "sim/slow", sched.Progress{Insts: uint64(i)})
+		var f JobStreamFrame
+		if err := json.Unmarshal(<-healthy, &f); err != nil || f.Progress.Insts != uint64(i) {
+			t.Fatalf("healthy follower frame %d = %+v (%v)", i, f, err)
+		}
+	}
+	for open := true; open; {
+		select {
+		case _, open = <-stalled:
+		default:
+			t.Fatal("stalled follower was never cut off")
+		}
+	}
+
+	d.finish(j, "", sched.Stats{}, nil)
+	if _, open := <-healthy; open {
+		t.Fatal("healthy follower's channel still open after the job finished")
+	}
+	var last JobStreamFrame
+	if err := json.Unmarshal(j.stream.Terminal(), &last); err != nil || last.Type != "done" || last.Status != StatusDone {
+		t.Errorf("terminal frame = %+v (%v), want done/done", last, err)
+	}
+
+	got := map[string]float64{}
+	for _, r := range d.metricsReadings() {
+		got[r.Name] = r.Value
+	}
+	if got["serve.stream_slow_disconnects_total"] != 1 || got["serve.stream_frames_dropped_total"] < 1 ||
+		got["serve.stream_frames_published_total"] != frames+1 {
+		t.Errorf("stream metrics = %v, want 1 slow disconnect, >= 1 drop, %d published", got, frames+1)
 	}
 }

@@ -82,7 +82,7 @@ func (sv *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", sv.metrics)
 	mux.HandleFunc("/healthz", sv.healthz)
 	mux.HandleFunc("/runs", sv.runs)
-	mux.HandleFunc("/runs/{id}/stream", sv.runStream)
+	mux.HandleFunc("/runs/{id}/stream", sv.runSSE)
 	mux.HandleFunc("/events", sv.eventsSSE)
 	return mux
 }
@@ -224,96 +224,24 @@ func (sv *Server) runs(w http.ResponseWriter, _ *http.Request) {
 // disconnects. Each message is one `data:` line holding an Event JSON
 // object; a hello event opens the stream so clients can sync clocks.
 func (sv *Server) eventsSSE(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	hello, _ := json.Marshal(Event{Type: "hello", TMs: sv.hub.nowMs()})
-	fmt.Fprintf(w, "data: %s\n\n", hello)
-	fl.Flush()
-
-	ch, cancel := sv.hub.Subscribe()
-	defer cancel()
-	// Heartbeat comments keep idle connections from timing out.
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-heartbeat.C:
-			fmt.Fprint(w, ": heartbeat\n\n")
-			fl.Flush()
-		case payload, ok := <-ch:
-			if !ok {
-				// Forcibly disconnected as a slow subscriber: end the
-				// stream so the client learns it fell behind.
-				return
-			}
-			fmt.Fprintf(w, "data: %s\n\n", payload)
-			fl.Flush()
-		}
-	}
+	ServeSSE(w, r, sv.hub.events, Event{Type: "hello", TMs: sv.hub.nowMs()})
 }
 
-// runStream streams one run's progress frames as SSE: the retained
+// runSSE streams one run's progress frames as SSE: the retained
 // history first (so a late subscriber still sees recent interval
 // samples), then live frames until the terminal "done" frame, which
 // always closes the stream. A run that was served without simulating
 // (cache hit, disk hit) replays a single done frame whose note says so.
-func (sv *Server) runStream(w http.ResponseWriter, r *http.Request) {
+func (sv *Server) runSSE(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
 		http.Error(w, "bad run id", http.StatusBadRequest)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	replay, ch, cancel, ok := sv.hub.SubscribeRun(id)
-	if !ok {
+	b := sv.hub.stream(id)
+	if b == nil {
 		http.Error(w, "no such run (or its stream aged out)", http.StatusNotFound)
 		return
 	}
-	defer cancel()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	for _, payload := range replay {
-		fmt.Fprintf(w, "data: %s\n\n", payload)
-	}
-	fl.Flush()
-	if ch == nil {
-		// Finished run: the replay ended with the terminal frame.
-		return
-	}
-	heartbeat := time.NewTicker(15 * time.Second)
-	defer heartbeat.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-heartbeat.C:
-			fmt.Fprint(w, ": heartbeat\n\n")
-			fl.Flush()
-		case payload, ok := <-ch:
-			if !ok {
-				// Run finished: the channel closed; emit the terminal frame.
-				if t, ok := sv.hub.RunTerminal(id); ok {
-					fmt.Fprintf(w, "data: %s\n\n", t)
-					fl.Flush()
-				}
-				return
-			}
-			fmt.Fprintf(w, "data: %s\n\n", payload)
-			fl.Flush()
-		}
-	}
+	ServeSSE(w, r, b, nil)
 }

@@ -198,6 +198,11 @@ func TestServerSSERoundTrip(t *testing.T) {
 	if ev := next("hello"); ev.Type != "hello" {
 		t.Fatalf("first event = %+v, want hello", ev)
 	}
+	// The handler subscribes before it greets, so once hello has been
+	// read the subscription exists and nothing driven below can be lost.
+	if n := metaReading(hub, "telemetry.sse_subscribers"); n != 1 {
+		t.Fatalf("sse_subscribers after hello = %v, want 1", n)
+	}
 
 	// Drive one run once the stream is subscribed: the start and finish
 	// events must arrive in order with matching correlation ids.
@@ -221,4 +226,15 @@ func TestServerSSERoundTrip(t *testing.T) {
 	if finish.Key != start.Key || finish.ID != start.ID {
 		t.Errorf("correlation broken: start %+v vs finish %+v", start, finish)
 	}
+}
+
+// metaReading returns the hub's /metrics reading called name (-1 if
+// absent).
+func metaReading(hub *Hub, name string) float64 {
+	for _, r := range hub.MetaReadings() {
+		if r.Name == name {
+			return r.Value
+		}
+	}
+	return -1
 }

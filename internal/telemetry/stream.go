@@ -1,15 +1,6 @@
 package telemetry
 
-import (
-	"encoding/json"
-
-	"carf/internal/sched"
-)
-
-// streamFrameCap bounds the replayable progress frames retained per
-// run: a late subscriber sees the most recent window, not the whole
-// history (the terminal frame is always retained separately).
-const streamFrameCap = 64
+import "carf/internal/sched"
 
 // streamCap bounds finished streams retained for replay; older ones
 // fall off oldest-first. In-flight streams are never evicted.
@@ -36,116 +27,10 @@ type StreamFrame struct {
 	Note      string  `json:"note,omitempty"` // provenance for frame-less runs
 }
 
-// runStream is one run's frame history plus its live followers. All
-// access goes through the hub's mutex.
-type runStream struct {
-	frames   [][]byte // recent progress frames, oldest first
-	terminal []byte   // the done frame; non-nil once finished
-	subs     map[chan []byte]struct{}
-}
-
-// streamOpen creates the per-run stream. Callers hold h.mu.
-func (h *Hub) streamOpen(id uint64) {
-	h.streams[id] = &runStream{subs: map[chan []byte]struct{}{}}
-}
-
-// streamPublish appends a progress frame to the run's history and fans
-// it out to live followers (non-blocking; slow followers miss frames
-// but always receive the terminal frame via the close path).
-func (h *Hub) streamPublish(id uint64, f StreamFrame) {
-	payload, err := json.Marshal(f)
-	if err != nil {
-		return
-	}
-	h.mu.Lock()
-	st := h.streams[id]
-	if st == nil || st.terminal != nil {
-		h.mu.Unlock()
-		return
-	}
-	st.frames = append(st.frames, payload)
-	if len(st.frames) > streamFrameCap {
-		st.frames = st.frames[len(st.frames)-streamFrameCap:]
-	}
-	h.events++
-	for ch := range st.subs {
-		select {
-		case ch <- payload:
-		default:
-			h.dropped++
-		}
-	}
-	h.mu.Unlock()
-}
-
-// streamFinish records the run's terminal frame, ends every follower
-// (closing their channels; handlers then read the terminal frame via
-// RunTerminal), and applies the finished-stream retention bound.
-func (h *Hub) streamFinish(id uint64, f StreamFrame) {
-	payload, err := json.Marshal(f)
-	if err != nil {
-		// The stream must still terminate: synthesize a minimal frame.
-		payload = []byte(`{"type":"done"}`)
-	}
-	h.mu.Lock()
-	st := h.streams[id]
-	if st == nil || st.terminal != nil {
-		h.mu.Unlock()
-		return
-	}
-	st.terminal = payload
-	h.events++
-	for ch := range st.subs {
-		close(ch)
-	}
-	st.subs = map[chan []byte]struct{}{}
-	h.streamOrder = append(h.streamOrder, id)
-	for len(h.streamOrder) > streamCap {
-		delete(h.streams, h.streamOrder[0])
-		h.streamOrder = h.streamOrder[1:]
-	}
-	h.mu.Unlock()
-}
-
-// SubscribeRun attaches to one run's frame stream. It returns the
-// replayable history (recent progress frames, plus the terminal frame
-// when the run has already finished), a channel of live frames, and a
-// cancel function. For a finished run the channel is nil — the replay
-// is complete and there is nothing to follow. For an in-flight run the
-// channel delivers subsequent progress frames and is closed when the
-// run finishes; read the terminal frame with RunTerminal then. ok is
-// false for an unknown (or evicted) run id.
-func (h *Hub) SubscribeRun(id uint64) (replay [][]byte, ch <-chan []byte, cancel func(), ok bool) {
+// stream returns run id's frame stream, or nil for an unknown (or
+// evicted) id.
+func (h *Hub) stream(id uint64) *Broadcaster {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st := h.streams[id]
-	if st == nil {
-		return nil, nil, nil, false
-	}
-	replay = append([][]byte(nil), st.frames...)
-	if st.terminal != nil {
-		replay = append(replay, st.terminal)
-		return replay, nil, func() {}, true
-	}
-	c := make(chan []byte, 128)
-	st.subs[c] = struct{}{}
-	cancel = func() {
-		h.mu.Lock()
-		if cur := h.streams[id]; cur != nil {
-			delete(cur.subs, c)
-		}
-		h.mu.Unlock()
-	}
-	return replay, c, cancel, true
-}
-
-// RunTerminal returns the run's terminal frame, if it has finished.
-func (h *Hub) RunTerminal(id uint64) ([]byte, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.streams[id]
-	if st == nil || st.terminal == nil {
-		return nil, false
-	}
-	return st.terminal, true
+	return h.streams[id]
 }

@@ -222,19 +222,19 @@ func TestRunStreamUnknownID(t *testing.T) {
 	}
 }
 
-// TestSlowSubscriberDisconnect: a subscriber that stops reading is
-// dropped-counted and, after maxConsecDrops consecutive misses,
-// force-closed; the aggregate disconnect counter records it.
+// TestSlowSubscriberDisconnect: an /events subscriber that stops
+// reading is dropped-counted and, after maxConsecDrops consecutive
+// misses, force-closed; the hub's /metrics readings record it.
 func TestSlowSubscriberDisconnect(t *testing.T) {
 	hub := NewHub()
-	ch, cancel := hub.Subscribe()
+	_, ch, cancel := hub.events.Subscribe()
 	defer cancel()
 
 	// Fill the buffer, then keep publishing without draining until the
 	// policy trips.
-	total := 256 + maxConsecDrops
+	total := followerBuf + maxConsecDrops
 	for i := 0; i < total; i++ {
-		hub.publish(Event{Type: "run-start", ID: uint64(i)})
+		hub.events.Publish(Event{Type: "run-start", ID: uint64(i)})
 	}
 
 	closed := false
@@ -279,9 +279,9 @@ drain:
 
 	// A healthy subscriber keeps its per-subscriber drop counter at 0
 	// and stays connected.
-	ch2, cancel2 := hub.Subscribe()
+	_, ch2, cancel2 := hub.events.Subscribe()
 	defer cancel2()
-	hub.publish(Event{Type: "run-start", ID: 1})
+	hub.events.Publish(Event{Type: "run-start", ID: 1})
 	select {
 	case <-ch2:
 	case <-time.After(time.Second):

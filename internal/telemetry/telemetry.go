@@ -24,7 +24,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -38,13 +37,6 @@ import (
 // completedCap bounds the completed-run table served by /runs; older
 // rows fall off (completed_total keeps the true count).
 const completedCap = 512
-
-// maxConsecDrops is the slow-subscriber disconnect threshold: an
-// /events client that fails to drain its 256-message buffer for this
-// many consecutive publishes is forcibly unsubscribed (its channel is
-// closed) instead of silently losing events forever. Counted in
-// telemetry.sse_slow_disconnects_total.
-const maxConsecDrops = 64
 
 // RunRecord is one scheduler run's row in the /runs table. Times are
 // milliseconds since the hub started; zero-valued times mean the run
@@ -112,41 +104,30 @@ type Hub struct {
 	tracer *Tracer
 	t0     time.Time
 
+	counters Counters     // shared by /events and every run stream
+	events   *Broadcaster // /events: no replay, never closed
+
 	mu             sync.Mutex
 	inflight       map[uint64]*runState
 	completed      []RunRecord // ring, newest appended; bounded by completedCap
 	completedTotal uint64
 
-	subs            map[*subscriber]struct{}
-	subSeq          uint64
-	dropped         uint64 // SSE messages dropped on slow subscribers
-	events          uint64 // SSE messages published
-	slowDisconnects uint64 // subscribers force-closed after maxConsecDrops
-
 	// Per-run frame streams (/runs/{id}/stream): every enqueued run gets
 	// one, so hits and disk hits still stream their terminal frame.
-	streams     map[uint64]*runStream
+	streams     map[uint64]*Broadcaster
 	streamOrder []uint64 // finished stream ids, oldest first (eviction)
-}
-
-// subscriber is one /events SSE client: its payload channel plus drop
-// accounting for the slow-subscriber disconnect policy.
-type subscriber struct {
-	id      uint64
-	ch      chan []byte
-	dropped uint64 // total messages this subscriber missed
-	consec  int    // consecutive misses (reset on any delivery)
 }
 
 // NewHub returns a hub tracing into a fresh Tracer.
 func NewHub() *Hub {
-	return &Hub{
+	h := &Hub{
 		tracer:   NewTracer(),
 		t0:       time.Now(),
 		inflight: map[uint64]*runState{},
-		subs:     map[*subscriber]struct{}{},
-		streams:  map[uint64]*runStream{},
+		streams:  map[uint64]*Broadcaster{},
 	}
+	h.events = NewBroadcaster(0, &h.counters)
+	return h
 }
 
 // Tracer returns the hub's orchestration tracer (write its trace out
@@ -182,9 +163,9 @@ func (h *Hub) RunEnqueued(id uint64, key sched.Key, label string) {
 		},
 		span: sp,
 	}
-	h.streamOpen(id)
+	h.streams[id] = NewBroadcaster(StreamReplay, &h.counters)
 	h.mu.Unlock()
-	h.publish(Event{Type: "run-start", TMs: h.nowMs(), ID: id, Label: label, Key: key.Short()})
+	h.events.Publish(Event{Type: "run-start", TMs: h.nowMs(), ID: id, Label: label, Key: key.Short()})
 }
 
 // RunProgressed implements sched.Observer: an executing run reported a
@@ -207,15 +188,15 @@ func (h *Hub) RunProgressed(id uint64, p sched.Progress) {
 	st.rec.IntervalIPC = p.IntervalIPC
 	st.rec.InstsPerSec = p.InstsPerSec
 	st.rec.EtaSeconds = p.ETASeconds
-	label, key := st.rec.Label, st.rec.Key
+	label, key, stream := st.rec.Label, st.rec.Key, h.streams[id]
 	h.mu.Unlock()
 
 	pp := p
-	h.streamPublish(id, StreamFrame{
+	stream.Publish(StreamFrame{
 		Type: "progress", TMs: h.nowMs(), ID: id, Label: label, Key: key,
 		Progress: &pp,
 	})
-	h.publish(Event{Type: "run-progress", TMs: h.nowMs(), ID: id, Label: label, Key: key, Progress: &pp})
+	h.events.Publish(Event{Type: "run-progress", TMs: h.nowMs(), ID: id, Label: label, Key: key, Progress: &pp})
 }
 
 // RunStarted implements sched.Observer: a miss acquired a worker slot.
@@ -266,7 +247,12 @@ func (h *Hub) RunFinished(id uint64, p sched.Provenance, err error) {
 		h.completed = h.completed[len(h.completed)-completedCap:]
 	}
 	h.completedTotal++
-	span, work := st.span, st.work
+	span, work, stream := st.span, st.work, h.streams[id]
+	h.streamOrder = append(h.streamOrder, id)
+	for len(h.streamOrder) > streamCap {
+		delete(h.streams, h.streamOrder[0])
+		h.streamOrder = h.streamOrder[1:]
+	}
 	h.mu.Unlock()
 
 	if work != nil {
@@ -279,13 +265,13 @@ func (h *Hub) RunFinished(id uint64, p sched.Provenance, err error) {
 		span.SetCategory(p.Outcome.String())
 		span.Attr("outcome", p.Outcome.String()).End()
 	}
-	h.publish(Event{
+	h.events.Publish(Event{
 		Type: "run-finish", TMs: h.nowMs(), ID: id,
 		Label: st.rec.Label, Key: st.rec.Key, Outcome: st.rec.Outcome,
 		QueueWaitMs: st.rec.QueueWaitMs, SimWallMs: st.rec.SimWallMs,
 		Err: st.rec.Err,
 	})
-	h.streamFinish(id, StreamFrame{
+	stream.Close(StreamFrame{
 		Type: "done", TMs: h.nowMs(), ID: id,
 		Label: st.rec.Label, Key: st.rec.Key, Outcome: st.rec.Outcome,
 		SimWallMs: st.rec.SimWallMs, Err: st.rec.Err,
@@ -317,7 +303,7 @@ func (h *Hub) ExperimentStart(name string) *Span {
 	if h == nil {
 		return nil
 	}
-	h.publish(Event{Type: "experiment-start", TMs: h.nowMs(), Label: name})
+	h.events.Publish(Event{Type: "experiment-start", TMs: h.nowMs(), Label: name})
 	return h.tracer.StartSpan(TrackExperiments, "experiment", name)
 }
 
@@ -335,7 +321,7 @@ func (h *Hub) ExperimentEnd(name string, sp *Span, elapsed time.Duration, err er
 		sp.Attr("error", err.Error())
 	}
 	sp.End()
-	h.publish(ev)
+	h.events.Publish(ev)
 }
 
 // Runs snapshots the /runs tables: in-flight runs in id order, then
@@ -356,87 +342,29 @@ func (h *Hub) Runs() (inflight, completed []RunRecord, total uint64) {
 	return inflight, append([]RunRecord(nil), h.completed...), h.completedTotal
 }
 
-// Subscribe registers an SSE subscriber: a channel of pre-marshalled
-// event payloads. A slow subscriber drops messages (counted) rather
-// than blocking the simulation — and after maxConsecDrops consecutive
-// misses it is disconnected outright: removed from the hub and its
-// channel closed, so the serving handler ends the stream instead of
-// carrying a client that stopped reading. Call the returned cancel to
-// unsubscribe (idempotent, safe after a forced disconnect).
-func (h *Hub) Subscribe() (<-chan []byte, func()) {
-	sub := &subscriber{ch: make(chan []byte, 256)}
-	h.mu.Lock()
-	h.subSeq++
-	sub.id = h.subSeq
-	h.subs[sub] = struct{}{}
-	h.mu.Unlock()
-	return sub.ch, func() {
-		h.mu.Lock()
-		delete(h.subs, sub)
-		h.mu.Unlock()
-	}
-}
-
-// publish fans one event out to every subscriber without blocking,
-// enforcing the slow-subscriber disconnect policy.
-func (h *Hub) publish(ev Event) {
-	h.mu.Lock()
-	if len(h.subs) == 0 {
-		h.mu.Unlock()
-		return
-	}
-	payload, err := json.Marshal(ev)
-	if err != nil {
-		h.mu.Unlock()
-		return
-	}
-	h.events++
-	for sub := range h.subs {
-		select {
-		case sub.ch <- payload:
-			sub.consec = 0
-		default:
-			sub.dropped++
-			sub.consec++
-			h.dropped++
-			if sub.consec >= maxConsecDrops {
-				delete(h.subs, sub)
-				close(sub.ch)
-				h.slowDisconnects++
-			}
-		}
-	}
-	h.mu.Unlock()
-}
-
-// counts reports the hub's own meta-metrics for /metrics.
-func (h *Hub) counts() (inflight int, completedTotal, events, dropped uint64, subscribers int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.inflight), h.completedTotal, h.events, h.dropped, len(h.subs)
-}
-
 // MetaReadings reports the hub's meta-metrics as readings for the
-// /metrics exposition: aggregate counters plus one drop counter per
-// live /events subscriber (telemetry.sse.sub<N>.dropped — gone from
-// the scrape once the subscriber disconnects; the aggregates keep the
-// history).
+// /metrics exposition: counters aggregated over /events and every run
+// stream, plus one drop counter per live /events subscriber
+// (telemetry.sse.sub<N>.dropped — gone from the scrape once the
+// subscriber disconnects; the aggregates keep the history).
 func (h *Hub) MetaReadings() []metrics.Reading {
 	h.mu.Lock()
-	defer h.mu.Unlock()
+	inflight, completed, retained := len(h.inflight), h.completedTotal, len(h.streams)
+	h.mu.Unlock()
+	subs := h.events.Followers()
 	out := []metrics.Reading{
-		{Name: "telemetry.runs_inflight", Kind: metrics.ReadGauge, Value: float64(len(h.inflight))},
-		{Name: "telemetry.runs_completed_total", Kind: metrics.ReadCounter, Value: float64(h.completedTotal)},
-		{Name: "telemetry.events_published_total", Kind: metrics.ReadCounter, Value: float64(h.events)},
-		{Name: "telemetry.events_dropped_total", Kind: metrics.ReadCounter, Value: float64(h.dropped)},
-		{Name: "telemetry.sse_slow_disconnects_total", Kind: metrics.ReadCounter, Value: float64(h.slowDisconnects)},
-		{Name: "telemetry.sse_subscribers", Kind: metrics.ReadGauge, Value: float64(len(h.subs))},
-		{Name: "telemetry.streams_retained", Kind: metrics.ReadGauge, Value: float64(len(h.streams))},
+		{Name: "telemetry.runs_inflight", Kind: metrics.ReadGauge, Value: float64(inflight)},
+		{Name: "telemetry.runs_completed_total", Kind: metrics.ReadCounter, Value: float64(completed)},
+		{Name: "telemetry.events_published_total", Kind: metrics.ReadCounter, Value: float64(h.counters.Published.Load())},
+		{Name: "telemetry.events_dropped_total", Kind: metrics.ReadCounter, Value: float64(h.counters.Dropped.Load())},
+		{Name: "telemetry.sse_slow_disconnects_total", Kind: metrics.ReadCounter, Value: float64(h.counters.SlowDisconnects.Load())},
+		{Name: "telemetry.sse_subscribers", Kind: metrics.ReadGauge, Value: float64(len(subs))},
+		{Name: "telemetry.streams_retained", Kind: metrics.ReadGauge, Value: float64(retained)},
 	}
-	for sub := range h.subs {
+	for _, sub := range subs {
 		out = append(out, metrics.Reading{
-			Name: fmt.Sprintf("telemetry.sse.sub%d.dropped", sub.id),
-			Kind: metrics.ReadCounter, Value: float64(sub.dropped),
+			Name: fmt.Sprintf("telemetry.sse.sub%d.dropped", sub.ID),
+			Kind: metrics.ReadCounter, Value: float64(sub.Dropped),
 		})
 	}
 	return out
