@@ -11,7 +11,6 @@ package carf
 import (
 	"testing"
 
-	"carf/internal/batch"
 	"carf/internal/core"
 	"carf/internal/harden"
 	"carf/internal/pipeline"
@@ -76,20 +75,6 @@ func TestCycleLoopAllocBudget(t *testing.T) {
 		// decoded fast loop must be as allocation-free as the generic one.
 		{"carf", func() uint64 {
 			st, err := pipeline.New(pipeline.DefaultConfig(), k.Prog, core.New(core.DefaultParams())).Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return st.Instructions
-		}},
-		// The lockstep batch engine: chunked execution through an
-		// executor lane adds only the per-run lane handoff (a few
-		// allocations per simulation, not per instruction).
-		{"batched", func() uint64 {
-			cpu := pipeline.New(pipeline.DefaultConfig(), k.Prog, regfile.Baseline())
-			if err := batch.NewExecutor(1).Run(cpu); err != nil {
-				t.Fatal(err)
-			}
-			st, err := cpu.Finalize()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,7 +11,6 @@ import (
 	"encoding/gob"
 	"fmt"
 
-	"carf/internal/batch"
 	"carf/internal/core"
 	"carf/internal/pipeline"
 	"carf/internal/regfile"
@@ -61,14 +60,9 @@ type Options struct {
 	// per experiment even when many run concurrently. Run installs one
 	// automatically and reports it in Result.Sched.
 	Tally *sched.Tally
-	// Batch selects the execution engine for plain simulation runs:
-	// 0 defers to the CARF_BATCH environment variable (its default is
-	// scalar), 1 forces the scalar cycle loop, N >= 2 routes runs
-	// through the shared lockstep batch executor with N lanes. Purely
-	// an engine choice: results are bit-identical (the golden suites
-	// pin this), so Batch never participates in memoization keys.
-	// Lanes fill only up to the scheduler's worker bound — widths
-	// beyond Parallel add nothing.
+	// Batch is ignored: every simulation runs through the one scalar
+	// cycle loop (pipeline.CPU.Run). The field remains only because the
+	// pinned benchmark harness (perfbench) still sets it.
 	Batch int
 	// OnProgress, when non-nil, receives live progress frames from every
 	// simulation this experiment actually executes (cache hits and joins
@@ -96,22 +90,7 @@ func (o Options) withDefaults() Options {
 	if o.Parallel > 0 {
 		o.Sched.SetWorkers(o.Parallel)
 	}
-	if o.Batch == 0 {
-		o.Batch = batch.EnvWidth()
-	}
-	if o.Batch > 1 {
-		o.Sched.SetExecLabel(batch.Shared(o.Batch).Label())
-	}
 	return o
-}
-
-// executor returns the batch executor simulation runs go through, or
-// nil for the scalar loop.
-func (o Options) executor() *batch.Executor {
-	if o.Batch > 1 {
-		return batch.Shared(o.Batch)
-	}
-	return nil
 }
 
 // Result is one experiment's rendered output.
@@ -263,7 +242,7 @@ func runKey(kind string, opt Options, kernel string, specID string, cfg pipeline
 // sampler attached. It is the scheduler-job body shared by every
 // harvesting path; callers go through runOneCfg (or a sibling wrapper)
 // so the run is pooled and memoized.
-func simulate(ctx context.Context, k workload.Kernel, spec modelSpec, cfg pipeline.Config, sampler pipeline.LiveSampler, period int, report sched.ProgressFunc, ex *batch.Executor) (runOut, error) {
+func simulate(ctx context.Context, k workload.Kernel, spec modelSpec, cfg pipeline.Config, sampler pipeline.LiveSampler, period int, report sched.ProgressFunc) (runOut, error) {
 	model := spec.new()
 	cpu := pipeline.New(cfg, k.Prog, model)
 	if sampler != nil {
@@ -281,17 +260,7 @@ func simulate(ctx context.Context, k workload.Kernel, spec modelSpec, cfg pipeli
 		// observation on or off.
 		cpu.SetProgress(func(pp pipeline.Progress) { report(toSchedProgress(pp)) })
 	}
-	var st pipeline.Stats
-	var err error
-	if ex != nil {
-		// Lockstep engine: the executor interleaves this run with its
-		// other lanes; chunking is invisible to every statistic.
-		if err = ex.Run(cpu); err == nil {
-			st, err = cpu.Finalize()
-		}
-	} else {
-		st, err = cpu.Run()
-	}
+	st, err := cpu.Run()
 	if err != nil {
 		return runOut{}, fmt.Errorf("%s on %s: %w", k.Name, model.Name(), err)
 	}
@@ -361,7 +330,7 @@ func runOneCfg(k workload.Kernel, spec modelSpec, cfg pipeline.Config, opt Optio
 	v, prov, err := opt.Sched.DoProgress(opt.Ctx, runKey("sim", opt, k.Name, spec.id, cfg),
 		label, true, progressTarget(opt, k), onProgress,
 		func(report sched.ProgressFunc) (any, error) {
-			return simulate(opt.Ctx, k, spec, cfg, nil, 0, report, opt.executor())
+			return simulate(opt.Ctx, k, spec, cfg, nil, 0, report)
 		})
 	opt.Tally.Record(prov, err)
 	if err != nil {

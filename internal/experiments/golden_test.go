@@ -2,12 +2,9 @@ package experiments
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"carf/internal/sched"
 )
 
 // The hot-loop optimization PR must leave every experiment's rendered
@@ -20,41 +17,6 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden experiment renderings")
 
 var goldenExperiments = []string{"fig5", "fig7", "table2", "cpistack", "faults"}
-
-// TestGoldenExperimentsBatched pins the lockstep batch executor's
-// observational equivalence: the same experiments, rendered under batch
-// widths 1, 4, and 8 on isolated (cold, unmemoized-across-widths)
-// schedulers, must reproduce the scalar golden renderings byte for
-// byte. This is the acceptance gate for routing scheduler-queued sims
-// through internal/batch.
-func TestGoldenExperimentsBatched(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden experiments are not short")
-	}
-	for _, name := range []string{"fig5", "table2"} {
-		want, err := os.ReadFile(filepath.Join("testdata", "golden_"+name+".txt"))
-		if err != nil {
-			t.Fatalf("missing golden data (run TestGoldenExperimentsBitIdentical with -update-golden first): %v", err)
-		}
-		for _, width := range []int{1, 4, 8} {
-			t.Run(fmt.Sprintf("%s/batch%d", name, width), func(t *testing.T) {
-				res, err := Run(name, Options{
-					Scale:    0.05,
-					Sched:    sched.New(width),
-					Parallel: width,
-					Batch:    width,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rendered := res.Render(); rendered != string(want) {
-					t.Errorf("%s under batch width %d diverged from the scalar golden rendering:\n--- got ---\n%s\n--- want ---\n%s",
-						name, width, rendered, want)
-				}
-			})
-		}
-	}
-}
 
 func TestGoldenExperimentsBitIdentical(t *testing.T) {
 	if testing.Short() {

@@ -146,7 +146,11 @@ func (sh *Shard) WriteError(name string, runErr error) error {
 }
 
 // Load retrieves one experiment's recorded outcome: (result, ok),
-// or an error if the worker recorded a failure.
+// or an error if the worker recorded a failure. It fails closed: a
+// result file that does not decode, or that decodes to a result for
+// some other name (`null`, `{}`, a foreign file, or a name that
+// safeName maps onto the same path), reads as "not run", so the
+// parent's recovery sweep re-runs the experiment in-process.
 func (sh *Shard) Load(name string) (Result, bool, error) {
 	if b, err := os.ReadFile(sh.errPath(name)); err == nil {
 		return Result{}, false, fmt.Errorf("fleet: worker reported: %s", strings.TrimSpace(string(b)))
@@ -156,7 +160,7 @@ func (sh *Shard) Load(name string) (Result, bool, error) {
 		return Result{}, false, nil // not run (claim orphaned by a crash, or never claimed)
 	}
 	var r Result
-	if err := json.Unmarshal(b, &r); err != nil {
+	if err := json.Unmarshal(b, &r); err != nil || r.Name != name {
 		return Result{}, false, nil // torn/foreign file: treat as not run
 	}
 	return r, true, nil

@@ -113,12 +113,6 @@ type CPU struct {
 	intValue []uint64
 	intWrote []bool
 
-	// RunChunk resume state: the no-progress watchdog counters persist
-	// across chunk boundaries so chunked execution behaves exactly like
-	// one uninterrupted Run.
-	runIdle      int64
-	runLastInsts uint64
-
 	// classifier is the model's value classifier when it has one (the
 	// content-aware file), cached to avoid a type assertion per use.
 	// Classification itself cannot be cached per tag: the content-aware
@@ -135,18 +129,18 @@ type CPU struct {
 	// pop, and in-order retirement; see instQueue); the issue queues stay
 	// index-addressed slices because issue removes from arbitrary
 	// positions, compacted in place only on cycles that issue.
-	now      int64
-	seq      uint64
-	rob      instQueue
-	intIQ    []*dynInst
-	fpIQ     []*dynInst
+	now   int64
+	seq   uint64
+	rob   instQueue
+	intIQ []*dynInst
+	fpIQ  []*dynInst
 	// intWake/fpWake are queue-level wakeup bounds: no entry in the
 	// queue can issue before that cycle, so the wakeup scan is skipped
 	// wholesale until then. Maintained from the per-entry readyAt bounds
 	// plus a conservative next-cycle recheck whenever anything issued or
 	// was budget-limited; rename resets the bound on every insert.
-	intWake int64
-	fpWake  int64
+	intWake  int64
+	fpWake   int64
 	front    instQueue
 	lsq      instQueue // in-flight memory operations, program order
 	haltSeen bool
@@ -430,36 +424,18 @@ const interruptMask = 1<<12 - 1
 // zero-commit hang into a harden.DeadlockError; without it, a blunt
 // idle limit still bounds a hung machine.
 func (c *CPU) Run() (Stats, error) {
-	if _, err := c.RunChunk(0); err != nil {
-		return c.stats, err
-	}
-	return c.Finalize()
-}
-
-// RunChunk simulates up to budget cycles (budget <= 0 means until the
-// program finishes) and reports whether the simulation is complete. It
-// is the resumable core of Run: callers that interleave many machines —
-// the batched lockstep executor — alternate RunChunk calls across
-// simulations and call Finalize on each once it reports done. The
-// sequence of cycles executed is identical to a single Run call, so
-// every statistic is bit-identical regardless of chunking.
-//
-// A non-nil error means the run failed (hardening divergence, deadlock,
-// interrupt); the simulation must not be resumed afterwards.
-func (c *CPU) RunChunk(budget int64) (bool, error) {
 	const idleLimit = 100000
+	var idle int64
+	var lastInsts uint64
 	watchdog := c.hard != nil && c.hard.wd != nil
-	for spent := int64(0); !c.done; spent++ {
-		if budget > 0 && spent >= budget {
-			return false, nil
-		}
+	for !c.done {
 		c.cycle()
 		if c.hard != nil && c.hard.err != nil {
-			return true, c.hard.err
+			return c.stats, c.hard.err
 		}
 		if c.interrupt != nil && c.stats.Cycles&interruptMask == 0 {
 			if err := c.interrupt(); err != nil {
-				return true, fmt.Errorf("pipeline: run interrupted at cycle %d: %w", c.stats.Cycles, err)
+				return c.stats, fmt.Errorf("pipeline: run interrupted at cycle %d: %w", c.stats.Cycles, err)
 			}
 		}
 		if c.progress != nil && c.stats.Cycles&progressMask == 0 {
@@ -467,7 +443,7 @@ func (c *CPU) RunChunk(budget int64) (bool, error) {
 		}
 		if watchdog {
 			if stalled, tripped := c.hard.wd.Observe(c.stats.Cycles, c.stats.Instructions); tripped {
-				return true, &harden.DeadlockError{
+				return c.stats, &harden.DeadlockError{
 					Cycle:           c.stats.Cycles,
 					LastCommitCycle: uint64(max64(c.lastCommitCycle, 0)),
 					StalledFor:      stalled,
@@ -475,25 +451,19 @@ func (c *CPU) RunChunk(budget int64) (bool, error) {
 					Bundle:          c.buildBundle(),
 				}
 			}
-		} else if c.stats.Instructions == c.runLastInsts {
-			c.runIdle++
-			if c.runIdle > idleLimit {
-				return true, fmt.Errorf("pipeline: no commit progress for %d cycles at cycle %d (pc %#x)", idleLimit, c.now, c.mach.PC)
+		} else if c.stats.Instructions == lastInsts {
+			idle++
+			if idle > idleLimit {
+				return c.stats, fmt.Errorf("pipeline: no commit progress for %d cycles at cycle %d (pc %#x)", idleLimit, c.now, c.mach.PC)
 			}
 		} else {
-			c.runIdle = 0
-			c.runLastInsts = c.stats.Instructions
+			idle = 0
+			lastInsts = c.stats.Instructions
 		}
 		if c.cfg.MaxInstructions > 0 && c.stats.Instructions >= c.cfg.MaxInstructions {
 			break
 		}
 	}
-	return true, nil
-}
-
-// Finalize flushes end-of-run samplers and surfaces accumulated model
-// faults. Call exactly once, after RunChunk reports done without error.
-func (c *CPU) Finalize() (Stats, error) {
 	if c.msampler != nil {
 		c.msampler.Final(c.stats.Cycles)
 	}

@@ -6,10 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
-	"carf/internal/batch"
 	"carf/internal/core"
 	"carf/internal/harden"
 	"carf/internal/profile"
@@ -191,73 +189,6 @@ func goldenOutcome(o harden.Outcome) string {
 		Detail   string
 	}{o.Fault.Class.String(), o.Fault.Cycle, o.Injected, o.InjectedAt, o.Detail})
 	return string(b)
-}
-
-// TestGoldenStatsBatchedBitIdentical replays the plain model × kernel
-// grid through the lockstep batch executor (width 4, four concurrent
-// submitters) and checks every Stats struct against the same golden
-// records the scalar grid is pinned to: chunked, interleaved execution
-// must not move a single statistic.
-func TestGoldenStatsBatchedBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden grid is not short")
-	}
-	data, err := os.ReadFile(filepath.Join("testdata", "golden_stats.json"))
-	if err != nil {
-		t.Fatalf("missing golden data (run TestGoldenStatsBitIdentical with -update-golden to record): %v", err)
-	}
-	var records []goldenRecord
-	if err := json.Unmarshal(data, &records); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]Stats{}
-	for _, r := range records {
-		want[r.Name] = r.Stats
-	}
-	ex := batch.NewExecutor(4)
-	models := goldenModels()
-	type job struct {
-		name   string
-		kernel string
-		mname  string
-	}
-	var jobs []job
-	for _, mname := range []string{"baseline", "unlimited", "carf", "carf-cam", "carf-long6", "carf-refcount"} {
-		for _, kernel := range []string{"histo", "crc64", "qsort", "listchase"} {
-			jobs = append(jobs, job{kernel + "/" + mname, kernel, mname})
-		}
-	}
-	sem := make(chan struct{}, 4)
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			k, err := workload.ByName(j.kernel, goldenScale)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			cpu := New(DefaultConfig(), k.Prog, models[j.mname]())
-			if err := ex.Run(cpu); err != nil {
-				t.Errorf("%s: %v", j.name, err)
-				return
-			}
-			st, err := cpu.Finalize()
-			if err != nil {
-				t.Errorf("%s: %v", j.name, err)
-				return
-			}
-			if w, ok := want[j.name]; !ok {
-				t.Errorf("%s: no golden record", j.name)
-			} else if !reflect.DeepEqual(st, w) {
-				t.Errorf("%s: batched stats diverged from golden record:\n got: %+v\nwant: %+v", j.name, st, w)
-			}
-		}(j)
-	}
-	wg.Wait()
 }
 
 func TestGoldenStatsBitIdentical(t *testing.T) {

@@ -10,13 +10,15 @@ import (
 
 // fakeLocker scripts the cross-process lease: deny the first `denials`
 // TryLock calls (a live peer holds the lease), then grant, recording
-// every event into an optional shared log.
+// every event into an optional shared log. denied is closed by the
+// first denial, so a test can act once a caller is in the lease wait.
 type fakeLocker struct {
 	mu       sync.Mutex
 	denials  int
 	tries    int
 	released atomic.Int32
 	events   []string
+	denied   chan struct{}
 }
 
 func (l *fakeLocker) TryLock(key Key) (func(), bool) {
@@ -24,6 +26,9 @@ func (l *fakeLocker) TryLock(key Key) (func(), bool) {
 	defer l.mu.Unlock()
 	l.tries++
 	if l.tries <= l.denials {
+		if l.tries == 1 {
+			close(l.denied)
+		}
 		return nil, false
 	}
 	l.events = append(l.events, "acquire")
@@ -51,7 +56,7 @@ func (lt *lockingTier) Store(key Key, val any) {
 }
 
 func newLockingTier(denials int) *lockingTier {
-	return &lockingTier{fakeTier: newFakeTier(), fakeLocker: &fakeLocker{denials: denials}}
+	return &lockingTier{fakeTier: newFakeTier(), fakeLocker: &fakeLocker{denials: denials, denied: make(chan struct{})}}
 }
 
 func TestSetTierAutoDetectsLockerAndPeerHit(t *testing.T) {
@@ -174,11 +179,9 @@ func TestLockerCancelWhileWaitingOnPeer(t *testing.T) {
 	// A joiner on the same key must be resolved by the leader's
 	// cancellation, not hang.
 	var wg sync.WaitGroup
-	leaderIn := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		close(leaderIn)
 		_, prov, err := s.DoCtx(ctx, key, "", true, func() (any, error) {
 			t.Error("simulated while a peer held the lease")
 			return nil, nil
@@ -190,8 +193,9 @@ func TestLockerCancelWhileWaitingOnPeer(t *testing.T) {
 			t.Errorf("canceled lease wait = %v, want > 0", prov.LeaseWait)
 		}
 	}()
-	<-leaderIn
-	time.Sleep(5 * time.Millisecond) // let the leader enter the lease wait
+	// Cancel only once the leader is inside the lease wait: its first
+	// TryLock has been denied.
+	<-lt.denied
 	cancel()
 	wg.Wait()
 

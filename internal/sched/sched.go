@@ -124,12 +124,6 @@ type Provenance struct {
 	// lease was taken over for misses that had to contend. Zero when no
 	// Locker is attached or the lease was free.
 	LeaseWait time.Duration
-
-	// Exec names the execution engine that served a miss ("" = the
-	// default scalar loop, "batch<N>" = the lockstep batch executor).
-	// Like QueueWait/SimWall it is only set on misses — cached results
-	// carry no engine: they did no work.
-	Exec string
 }
 
 // Stats is a snapshot of a scheduler's cumulative counters.
@@ -331,10 +325,6 @@ type Scheduler struct {
 	// (SetPeerPollInterval).
 	peerPoll atomic.Int64
 
-	// execLabel names the execution engine misses run under; stamped
-	// into Provenance.Exec (SetExecLabel).
-	execLabel string
-
 	reg       *metrics.Registry
 	queueHist *metrics.SyncHistogram // per-miss queue wait, seconds
 	simHist   *metrics.SyncHistogram // per-miss simulation wall, seconds
@@ -411,16 +401,6 @@ func (s *Scheduler) Observed() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.obs != nil
-}
-
-// SetExecLabel records the name of the execution engine this
-// scheduler's misses run under (e.g. "batch8" for the lockstep batch
-// executor); it is stamped into each miss's Provenance.Exec. Purely
-// observational: labels never participate in memoization keys.
-func (s *Scheduler) SetExecLabel(label string) {
-	s.mu.Lock()
-	s.execLabel = label
-	s.mu.Unlock()
 }
 
 // SetTier attaches (or, with nil, detaches) the persistent result tier.
@@ -867,10 +847,7 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 		// failed or the run errored).
 		release()
 	}
-	s.mu.Lock()
-	execLabel := s.execLabel
-	s.mu.Unlock()
-	p := Provenance{Outcome: Miss, Key: key, QueueWait: queueWait, SimWall: simWall, LeaseWait: leaseWait, Exec: execLabel}
+	p := Provenance{Outcome: Miss, Key: key, QueueWait: queueWait, SimWall: simWall, LeaseWait: leaseWait}
 	if obs != nil {
 		obs.RunFinished(id, p, e.err)
 	}

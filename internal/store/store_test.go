@@ -25,7 +25,7 @@ func testLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelError + 1}))
 }
 
-func open(t *testing.T, dir string, opts ...func(*Options)) *Store {
+func open(t testing.TB, dir string, opts ...func(*Options)) *Store {
 	t.Helper()
 	o := Options{Dir: dir, Schema: "test-schema/v1", Logger: testLogger()}
 	for _, f := range opts {
