@@ -12,6 +12,7 @@ import (
 	"carf/internal/harden"
 	"carf/internal/profile"
 	"carf/internal/regfile"
+	"carf/internal/vm"
 	"carf/internal/workload"
 )
 
@@ -43,6 +44,9 @@ type goldenRecord struct {
 	// Fault campaign runs: injection outcomes and the detection error.
 	Injected []string `json:",omitempty"`
 	Err      string   `json:",omitempty"`
+
+	// SMT runs: both threads' statistics (Stats stays zero).
+	Threads []Stats `json:",omitempty"`
 }
 
 func goldenModels() map[string]func() regfile.Model {
@@ -176,6 +180,43 @@ func runGolden(t *testing.T) []goldenRecord {
 		rec.Injected = append(rec.Injected, goldenOutcome(o))
 	}
 	add(rec)
+
+	// Issue-wakeup-heavy kernels: long dependence chains behind cache
+	// misses keep most issue-queue entries waiting on unissued producers.
+	for _, mname := range []string{"baseline", "carf"} {
+		for _, kernel := range []string{"bfs", "hashprobe", "treeinsert", "montecarlo"} {
+			name := kernel + "/" + mname
+			cpu := run(name, kernel, DefaultConfig(), models[mname]())
+			add(goldenRecord{Name: name, Stats: cpu.Stats()})
+		}
+	}
+
+	// SMT on a shared, small Long file: the long-aware policy's issue
+	// hold drives the head-only issue scan.
+	sa, err := workload.ByName("crc64", goldenScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := workload.ByName("hashprobe", goldenScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []SMTPolicy{PolicyRoundRobin, PolicyLongAware} {
+		p := core.DefaultParams()
+		p.NumLong = 24
+		smt := NewSMT(DefaultConfig(), [2]*vm.Program{sa.Prog, sb.Prog}, core.New(p))
+		smt.SetPolicy(pol)
+		sts, err := smt.Run()
+		if err != nil {
+			t.Fatalf("smt %s: %v", pol, err)
+		}
+		for i, k := range []workload.Kernel{sa, sb} {
+			if got := smt.Thread(i).Machine().X[workload.ResultReg]; got != k.Expected {
+				t.Fatalf("smt %s thread %d: result %#x, want %#x", pol, i, got, k.Expected)
+			}
+		}
+		add(goldenRecord{Name: "crc64+hashprobe/carf-long24/smt-" + pol.String(), Threads: sts[:]})
+	}
 
 	return out
 }
