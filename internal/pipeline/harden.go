@@ -166,7 +166,7 @@ func (c *CPU) checkCommit(in *dynInst) error {
 }
 
 // checkInvariants is the periodic sweep: pipeline-level structural
-// invariants (ROB ordering, rename-map accounting), the §2
+// invariants (ROB ordering, rename-map accounting, issue wakeup), the §2
 // reconstruction identity for every live written tag, the model's own
 // structural self-checks and fault log, and — when lockstep is on — the
 // full architectural register diff against the golden model.
@@ -199,6 +199,29 @@ func (c *CPU) checkInvariants() []harden.Violation {
 			}
 			if !c.intLive[tag] {
 				add("rename-map", "%s map: x%d -> tag %d which is not live", mp.name, r, tag)
+			}
+		}
+	}
+
+	// Issue wakeup: a parked entry must be reachable from an unissued
+	// producer's waiter list, or nothing will ever wake it; and no queue's
+	// wake bound may postpone an entry past the cycle it could issue (an
+	// entry whose readyAt has passed is due next cycle).
+	queues := [...]struct {
+		name string
+		q    []*dynInst
+		wake int64
+	}{{"int", c.intIQ, c.intWake}, {"fp", c.fpIQ, c.fpWake}}
+	for _, qu := range queues {
+		for _, in := range qu.q {
+			if in.issued {
+				continue
+			}
+			if due := max64(in.readyAt, c.now+1); qu.wake > due {
+				add("iq-wakeup", "%s queue wake bound %d postpones seq %d, due at %d", qu.name, qu.wake, in.seq, due)
+			}
+			if in.readyAt == never && !c.onWaiterList(in) {
+				add("iq-wakeup", "%s queue seq %d is parked but on no unissued producer's waiter list", qu.name, in.seq)
 			}
 		}
 	}
@@ -238,6 +261,29 @@ func (c *CPU) checkInvariants() []harden.Violation {
 		}
 	}
 	return vs
+}
+
+// onWaiterList reports whether a parked entry is on the waiter list of
+// one of its sources whose producer has not issued.
+func (c *CPU) onWaiterList(in *dynInst) bool {
+	for _, s := range in.srcs {
+		if s.tag < 0 {
+			continue
+		}
+		done, list := c.intDone[s.tag], c.intWaiters[s.tag]
+		if s.fp {
+			done, list = c.fpDone[s.tag], c.fpWaiters[s.tag]
+		}
+		if done < never {
+			continue
+		}
+		for _, w := range list {
+			if w.in == in && w.seq == in.seq {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // buildBundle captures the diagnostic context for a hardening failure:

@@ -153,6 +153,55 @@ func TestScheduledFaultIsDetected(t *testing.T) {
 	}
 }
 
+// TestLostWakeupIsDetected: an issue-queue entry dropped from its
+// producer's waiter list is never woken again. The sweep must name the
+// lost wakeup instead of leaving it to surface as a late deadlock.
+func TestLostWakeupIsDetected(t *testing.T) {
+	k, err := workload.ByName("hashprobe", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu, err := NewChecked(hardenedConfig(), k.Prog, carfModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lost := false
+	for !lost && !cpu.done && cpu.now < 100000 {
+		cpu.cycle()
+		if cpu.hard.err != nil {
+			t.Fatalf("healthy prefix failed: %v", cpu.hard.err)
+		}
+		// Drop a list holding a live parked consumer, mid-run.
+		for tag, list := range cpu.intWaiters {
+			for _, w := range list {
+				if w.in.seq == w.seq && !w.in.issued {
+					cpu.intWaiters[tag] = list[:0]
+					lost = true
+					break
+				}
+			}
+			if lost {
+				break
+			}
+		}
+	}
+	if !lost {
+		t.Fatal("no consumer was ever parked on an integer waiter list")
+	}
+	_, err = cpu.Run()
+	var inv *harden.InvariantError
+	if !errors.As(err, &inv) {
+		t.Fatalf("got %v, want an InvariantError", err)
+	}
+	named := false
+	for _, v := range inv.Violations {
+		named = named || v.Check == "iq-wakeup"
+	}
+	if !named {
+		t.Errorf("violations do not name iq-wakeup: %v", inv)
+	}
+}
+
 // TestUninjectableFaultStaysPending: conventional files do not implement
 // the injector; the fault must stay pending, not crash or vanish.
 func TestUninjectableFaultStaysPending(t *testing.T) {
