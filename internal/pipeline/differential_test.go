@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"carf/internal/core"
+	"carf/internal/harden"
 	"carf/internal/isa"
 	"carf/internal/regfile"
 	"carf/internal/vm"
@@ -136,6 +137,70 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fuzzConfigs are the machine configurations FuzzPipelineVsVM draws
+// from: both organizations, the content-aware file's stress variants,
+// and the feature modes with their own issue and squash paths.
+var fuzzConfigs = []struct {
+	name  string
+	cfg   func(*Config)
+	model func() regfile.Model
+}{
+	{"baseline", nil, func() regfile.Model { return regfile.Baseline() }},
+	{"content-aware", nil, carfModel},
+	{"long6", nil, func() regfile.Model {
+		p := core.DefaultParams()
+		p.NumLong = 6
+		return core.New(p)
+	}},
+	{"cam-short", nil, func() regfile.Model {
+		p := core.DefaultParams()
+		p.CAMShort = true
+		return core.New(p)
+	}},
+	{"wrongpath", func(c *Config) { c.WrongPath = true }, carfModel},
+	{"clusters", func(c *Config) { c.Clusters = 2 }, carfModel},
+	{"ports", func(c *Config) { c.PortContention = true }, carfModel},
+}
+
+// FuzzPipelineVsVM differentially fuzzes the timing model against the
+// functional VM: a random program (seed, 1-12 blocks) runs on one
+// configuration under lockstep, invariant sweeps and the watchdog. Any
+// hardening error, reconstruction mismatch, or final register that
+// differs from the VM's is a bug.
+func FuzzPipelineVsVM(f *testing.F) {
+	for i := range fuzzConfigs {
+		f.Add(int64(i+1), uint8(6), uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, blocks, config uint8) {
+		fc := fuzzConfigs[int(config)%len(fuzzConfigs)]
+		prog := genProgram(seed, 1+int(blocks)%12)
+		ref := vm.New(prog)
+		if _, err := ref.Run(5_000_000); err != nil || !ref.Halted {
+			t.Fatalf("vm: halted=%v err=%v", ref.Halted, err)
+		}
+		cfg := DefaultConfig()
+		if fc.cfg != nil {
+			fc.cfg(&cfg)
+		}
+		cfg.Harden = harden.Options{Lockstep: true, SweepEvery: 256, WatchdogAfter: 50000}
+		cpu, err := NewChecked(cfg, prog, fc.model())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := cpu.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", fc.name, err)
+		}
+		if st.ValueMismatches != 0 {
+			t.Errorf("%s: %d reconstruction mismatches", fc.name, st.ValueMismatches)
+		}
+		if cpu.mach.X != ref.X || cpu.mach.F != ref.F {
+			t.Fatalf("%s: final registers differ from the vm\n got x=%#x f=%#x\nwant x=%#x f=%#x",
+				fc.name, cpu.mach.X, cpu.mach.F, ref.X, ref.F)
+		}
+	})
 }
 
 // TestSMTBothThreadsCorrect runs the two-thread machine on kernel pairs
