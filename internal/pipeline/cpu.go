@@ -487,14 +487,19 @@ func (c *CPU) Run() (Stats, error) {
 	if c.progress != nil {
 		c.reportProgress(true)
 	}
-	// Internal faults (double frees) are recorded instead of panicking;
-	// a run that accumulated any did not execute correctly.
-	if fr, ok := c.model.(harden.FaultReporter); ok {
+	return c.stats, modelFaults(c.model)
+}
+
+// modelFaults reports the internal faults (double frees) a model
+// recorded instead of panicking; a run that accumulated any did not
+// execute correctly.
+func modelFaults(model regfile.Model) error {
+	if fr, ok := model.(harden.FaultReporter); ok {
 		if faults := fr.Faults(); len(faults) > 0 {
-			return c.stats, fmt.Errorf("pipeline: %d register file fault(s), first: %s", len(faults), faults[0])
+			return fmt.Errorf("pipeline: %d register file fault(s), first: %s", len(faults), faults[0])
 		}
 	}
-	return c.stats, nil
+	return nil
 }
 
 func max64(a, b int64) int64 {

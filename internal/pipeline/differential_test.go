@@ -164,41 +164,69 @@ var fuzzConfigs = []struct {
 	{"ports", func(c *Config) { c.PortContention = true }, carfModel},
 }
 
+// fuzzSMTPolicies extend the config set: config indices past
+// fuzzConfigs run the two-thread machine under each priority policy.
+var fuzzSMTPolicies = []SMTPolicy{PolicyRoundRobin, PolicyLongAware}
+
 // FuzzPipelineVsVM differentially fuzzes the timing model against the
 // functional VM: a random program (seed, 1-12 blocks) runs on one
-// configuration under lockstep, invariant sweeps and the watchdog. Any
-// hardening error, reconstruction mismatch, or final register that
-// differs from the VM's is a bug.
+// configuration under lockstep, invariant sweeps and the watchdog (SMT
+// configs run a second program, from the complemented seed, on thread
+// 1). Any hardening error, reconstruction mismatch, or final register
+// that differs from the VM's is a bug.
 func FuzzPipelineVsVM(f *testing.F) {
-	for i := range fuzzConfigs {
+	for i := 0; i < len(fuzzConfigs)+len(fuzzSMTPolicies); i++ {
 		f.Add(int64(i+1), uint8(6), uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, blocks, config uint8) {
-		fc := fuzzConfigs[int(config)%len(fuzzConfigs)]
-		prog := genProgram(seed, 1+int(blocks)%12)
-		ref := vm.New(prog)
-		if _, err := ref.Run(5_000_000); err != nil || !ref.Halted {
-			t.Fatalf("vm: halted=%v err=%v", ref.Halted, err)
-		}
+		idx := int(config) % (len(fuzzConfigs) + len(fuzzSMTPolicies))
+		progs := []*vm.Program{genProgram(seed, 1+int(blocks)%12)}
 		cfg := DefaultConfig()
-		if fc.cfg != nil {
-			fc.cfg(&cfg)
-		}
 		cfg.Harden = harden.Options{Lockstep: true, SweepEvery: 256, WatchdogAfter: 50000}
-		cpu, err := NewChecked(cfg, prog, fc.model())
-		if err != nil {
-			t.Fatal(err)
+		var name string
+		var cpus []*CPU
+		var sts []Stats
+		if idx >= len(fuzzConfigs) {
+			pol := fuzzSMTPolicies[idx-len(fuzzConfigs)]
+			name = "smt-" + pol.String()
+			progs = append(progs, genProgram(^seed, 1+int(blocks)%12))
+			p := core.DefaultParams()
+			p.NumLong = 24 // small enough for the long-aware issue hold to engage
+			smt := NewSMT(cfg, [2]*vm.Program{progs[0], progs[1]}, core.New(p))
+			smt.SetPolicy(pol)
+			st, err := smt.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			cpus, sts = []*CPU{smt.Thread(0), smt.Thread(1)}, st[:]
+		} else {
+			fc := fuzzConfigs[idx]
+			name = fc.name
+			if fc.cfg != nil {
+				fc.cfg(&cfg)
+			}
+			cpu, err := NewChecked(cfg, progs[0], fc.model())
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := cpu.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			cpus, sts = []*CPU{cpu}, []Stats{st}
 		}
-		st, err := cpu.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", fc.name, err)
-		}
-		if st.ValueMismatches != 0 {
-			t.Errorf("%s: %d reconstruction mismatches", fc.name, st.ValueMismatches)
-		}
-		if cpu.mach.X != ref.X || cpu.mach.F != ref.F {
-			t.Fatalf("%s: final registers differ from the vm\n got x=%#x f=%#x\nwant x=%#x f=%#x",
-				fc.name, cpu.mach.X, cpu.mach.F, ref.X, ref.F)
+		for i, prog := range progs {
+			ref := vm.New(prog)
+			if _, err := ref.Run(5_000_000); err != nil || !ref.Halted {
+				t.Fatalf("vm: halted=%v err=%v", ref.Halted, err)
+			}
+			if sts[i].ValueMismatches != 0 {
+				t.Errorf("%s thread %d: %d reconstruction mismatches", name, i, sts[i].ValueMismatches)
+			}
+			if m := cpus[i].mach; m.X != ref.X || m.F != ref.F {
+				t.Fatalf("%s thread %d: final registers differ from the vm\n got x=%#x f=%#x\nwant x=%#x f=%#x",
+					name, i, m.X, m.F, ref.X, ref.F)
+			}
 		}
 	})
 }

@@ -153,6 +153,43 @@ func TestScheduledFaultIsDetected(t *testing.T) {
 	}
 }
 
+// TestSMTSurfacesHardeningErrors: a fault injected through one thread
+// corrupts the shared register file, and whichever thread's checker
+// sees it first must end SMT.Run with its error instead of the run
+// finishing clean.
+func TestSMTSurfacesHardeningErrors(t *testing.T) {
+	ka, err := workload.ByName("crc64", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := workload.ByName("hashprobe", 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fault := range []bool{false, true} {
+		cfg := DefaultConfig()
+		cfg.Harden = harden.Options{Lockstep: true, SweepEvery: 256}
+		p := core.DefaultParams()
+		p.NumLong = 24
+		smt := NewSMT(cfg, [2]*vm.Program{ka.Prog, kb.Prog}, core.New(p))
+		if fault {
+			smt.Thread(0).ScheduleFault(harden.Fault{Class: harden.FaultShortBit, Cycle: 2000, Seed: 1})
+		}
+		_, err := smt.Run()
+		if !fault {
+			if err != nil {
+				t.Fatalf("clean SMT run failed: %v", err)
+			}
+			continue
+		}
+		var div *harden.DivergenceError
+		var inv *harden.InvariantError
+		if !errors.As(err, &div) && !errors.As(err, &inv) {
+			t.Fatalf("short-file corruption on a shared file: got %v, want a divergence or invariant error", err)
+		}
+	}
+}
+
 // TestLostWakeupIsDetected: an issue-queue entry dropped from its
 // producer's waiter list is never woken again. The sweep must name the
 // lost wakeup instead of leaving it to surface as a late deadlock.

@@ -91,6 +91,8 @@ func (s *SMT) Thread(i int) *CPU { return s.threads[i] }
 func (s *SMT) Cycles() uint64 { return s.cycles }
 
 // Run simulates until both threads halt and returns their statistics.
+// Like CPU.Run, it ends on the first hardening failure of either thread
+// and fails a run whose shared model recorded internal faults.
 func (s *SMT) Run() ([2]Stats, error) {
 	var out [2]Stats
 	const idleLimit = 200000
@@ -101,6 +103,9 @@ func (s *SMT) Run() ([2]Stats, error) {
 		for _, t := range s.threads {
 			if !t.done {
 				t.cycle()
+				if t.hard != nil && t.hard.err != nil {
+					return out, t.hard.err
+				}
 			}
 		}
 		s.cycles++
@@ -117,7 +122,7 @@ func (s *SMT) Run() ([2]Stats, error) {
 	}
 	out[0] = s.threads[0].stats
 	out[1] = s.threads[1].stats
-	return out, nil
+	return out, modelFaults(s.threads[0].model)
 }
 
 // applyPolicy sets each thread's issue-hold flag for the coming cycle.
