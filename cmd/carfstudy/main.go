@@ -454,7 +454,7 @@ func runFleetParent(ctx context.Context, logger *slog.Logger, w io.Writer, hub *
 	if progress {
 		args = append(args, "-progress")
 	}
-	spawnErrs := fleet.Spawn(ctx, workers, args, "-fleet-index", nil, os.Stderr)
+	spawnErrs := fleet.Spawn(ctx, workers, args, os.Stderr)
 	for i, serr := range spawnErrs {
 		if serr != nil {
 			// Not fatal: whatever the worker left unfinished is swept below.

@@ -26,6 +26,12 @@
 //     suite's configs do) share results via disk hits and peer-lease
 //     waits instead of duplicating them.
 //
+// Claims are needed on top of the leases because leases deduplicate
+// only what the store can persist: the instrumented experiment
+// families produce values the store cannot encode, so without
+// experiment-level claims every worker that reaches one re-simulates
+// it, and the sweep loses both its zero-duplicate count and its speed.
+//
 // The package is mechanism only: it never imports the experiment
 // runner. The command supplies a run callback and whatever argv its
 // worker mode needs.
@@ -224,13 +230,13 @@ func (sh *Shard) Work(ctx context.Context, names []string, run func(name string)
 	return ran, nil
 }
 
-// Spawn re-executes this binary n times with the given argv (one worker
-// per process, worker index appended by indexFlag when non-empty) and
-// waits for all of them. Worker stderr is forwarded to stderr with a
-// per-worker prefix handled by the workers' own log labels; stdout is
-// discarded (workers render nothing — results travel through the
-// shard). Returns per-worker errors (nil entries for clean exits).
-func Spawn(ctx context.Context, n int, args []string, indexFlag string, env []string, stderr io.Writer) []error {
+// Spawn re-executes this binary n times with the given argv plus
+// "-fleet-index i" (one worker per process) and waits for all of them.
+// Worker stderr is forwarded to stderr with a per-worker prefix handled
+// by the workers' own log labels; stdout is discarded (workers render
+// nothing — results travel through the shard). Returns per-worker
+// errors (nil entries for clean exits).
+func Spawn(ctx context.Context, n int, args []string, stderr io.Writer) []error {
 	self, err := os.Executable()
 	if err != nil {
 		errs := make([]error, n)
@@ -244,14 +250,10 @@ func Spawn(ctx context.Context, n int, args []string, indexFlag string, env []st
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer func() { done <- i }()
-			argv := args
-			if indexFlag != "" {
-				argv = append(append([]string{}, args...), indexFlag, fmt.Sprint(i))
-			}
+			argv := append(append([]string{}, args...), "-fleet-index", fmt.Sprint(i))
 			cmd := exec.CommandContext(ctx, self, argv...)
 			cmd.Stdout = io.Discard
 			cmd.Stderr = stderr
-			cmd.Env = append(os.Environ(), env...)
 			errs[i] = cmd.Run()
 		}(i)
 	}
