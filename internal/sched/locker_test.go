@@ -12,6 +12,8 @@ import (
 // TryLock calls (a live peer holds the lease), then grant, recording
 // every event into an optional shared log. denied is closed by the
 // first denial, so a test can act once a caller is in the lease wait.
+// onGrant, if set, runs inside a granting TryLock before it returns,
+// which is how a test lands a peer's blob just ahead of the grant.
 type fakeLocker struct {
 	mu       sync.Mutex
 	denials  int
@@ -19,6 +21,7 @@ type fakeLocker struct {
 	released atomic.Int32
 	events   []string
 	denied   chan struct{}
+	onGrant  func()
 }
 
 func (l *fakeLocker) TryLock(key Key) (func(), bool) {
@@ -30,6 +33,9 @@ func (l *fakeLocker) TryLock(key Key) (func(), bool) {
 			close(l.denied)
 		}
 		return nil, false
+	}
+	if l.onGrant != nil {
+		l.onGrant()
 	}
 	l.events = append(l.events, "acquire")
 	return func() {
@@ -119,6 +125,40 @@ func TestLockerTakeoverBecomesMissWithLeaseWait(t *testing.T) {
 	}
 	if got := lt.released.Load(); got != 1 {
 		t.Errorf("release called %d times, want exactly 1", got)
+	}
+}
+
+func TestLockerGrantAfterPeerStoreIsPeerHit(t *testing.T) {
+	// The window the post-grant re-probe closes: this process's tier
+	// probe misses, then a peer stores its blob and releases its lease,
+	// and only then does this process's TryLock win — at once (denials
+	// 0) or from the poll loop (denials 2). The blob is already on
+	// disk, so simulating here would duplicate the peer's run.
+	for _, denials := range []int{0, 2} {
+		lt := newLockingTier(denials)
+		key := KeyOf("stored-then-released", denials)
+		lt.onGrant = func() { lt.fakeTier.Store(key, "peer-result") }
+		s := New(2)
+		s.SetTier(lt)
+		s.SetPeerPollInterval(time.Millisecond)
+
+		ran := 0
+		v, prov, err := s.Do(key, "", true, func() (any, error) {
+			ran++
+			return "simulated-here", nil
+		})
+		if err != nil || ran != 0 || prov.Outcome != PeerHit || v.(string) != "peer-result" {
+			t.Fatalf("denials %d: v=%v prov=%+v err=%v ran=%d, want the peer's blob as a PeerHit", denials, v, prov, err, ran)
+		}
+		if prov.LeaseWait <= 0 {
+			t.Errorf("denials %d: PeerHit LeaseWait = %v, want > 0", denials, prov.LeaseWait)
+		}
+		if got := lt.released.Load(); got != 1 {
+			t.Errorf("denials %d: release called %d times, want exactly 1", denials, got)
+		}
+		if st := s.Stats(); st.PeerHits != 1 || st.Misses != 0 {
+			t.Errorf("denials %d: stats = %+v, want 1 peer hit, 0 misses", denials, st)
+		}
 	}
 }
 

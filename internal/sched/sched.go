@@ -412,8 +412,8 @@ func (s *Scheduler) SetLocker(l Locker) {
 // DefaultPeerPollInterval is how often a run that lost the
 // cross-process lease re-probes the tier for the winner's result. Short
 // enough that a peer hit adds little latency over the peer's own
-// simulation wall; long enough that a fleet of waiters does not hammer
-// the shared directory.
+// simulation wall; long enough that many waiting processes do not
+// hammer the shared directory.
 const DefaultPeerPollInterval = 25 * time.Millisecond
 
 // SetPeerPollInterval tunes the lease-wait re-probe period (d <= 0
@@ -690,41 +690,47 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 	// duplicating the work. A peer that crashes mid-simulation stops
 	// heartbeating; TryLock takes its stale lease over internally and
 	// this call proceeds as an ordinary miss.
+	//
+	// The tier is probed again after every TryLock, granted or not: a
+	// peer may have stored its blob and released its lease between the
+	// previous probe and this TryLock, and winning the lease then would
+	// re-simulate a key that is already on disk.
 	var release func() // non-nil once the lease is held
 	var leaseWait time.Duration
 	if cacheable && locker != nil {
 		leaseStart := time.Now()
 		poll := time.Duration(s.peerPoll.Load())
 		for {
-			if r, ok := locker.TryLock(key); ok {
-				release = r
-				leaseWait = time.Since(leaseStart)
-				break
-			}
-			select {
-			case <-ctx.Done():
-				// Same contract as cancellation while queued: resolve the
-				// entry with the error so in-process joiners unblock and a
-				// later request retries.
-				err := fmt.Errorf("sched: run %s canceled waiting on a peer's lease: %w", key.Short(), ctx.Err())
-				s.mu.Lock()
-				s.stats.Canceled++
-				s.stats.LeaseWait += time.Since(leaseStart)
-				delete(s.inflight, key)
-				e.err = err
-				s.mu.Unlock()
-				close(e.done)
-				p := Provenance{Outcome: Canceled, Key: key, LeaseWait: time.Since(leaseStart)}
-				if obs != nil {
-					obs.RunFinished(id, p, err)
+			r, won := locker.TryLock(key)
+			if !won {
+				select {
+				case <-ctx.Done():
+					// Same contract as cancellation while queued: resolve
+					// the entry with the error so in-process joiners
+					// unblock and a later request retries.
+					err := fmt.Errorf("sched: run %s canceled waiting on a peer's lease: %w", key.Short(), ctx.Err())
+					s.mu.Lock()
+					s.stats.Canceled++
+					s.stats.LeaseWait += time.Since(leaseStart)
+					delete(s.inflight, key)
+					e.err = err
+					s.mu.Unlock()
+					close(e.done)
+					p := Provenance{Outcome: Canceled, Key: key, LeaseWait: time.Since(leaseStart)}
+					if obs != nil {
+						obs.RunFinished(id, p, err)
+					}
+					return nil, p, err
+				case <-time.After(poll):
 				}
-				return nil, p, err
-			case <-time.After(poll):
 			}
+			leaseWait = time.Since(leaseStart)
 			if tier != nil {
 				if v, ok := tier.Load(key); ok {
 					// The peer finished and its blob verified: serve it.
-					leaseWait = time.Since(leaseStart)
+					if won {
+						r()
+					}
 					e.val = v
 					s.mu.Lock()
 					delete(s.inflight, key)
@@ -739,6 +745,10 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 					}
 					return v, p, nil
 				}
+			}
+			if won {
+				release = r
+				break
 			}
 			// No blob yet: either the peer is still simulating (its lease
 			// is fresh — TryLock keeps failing) or it died or errored

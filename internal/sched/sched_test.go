@@ -476,6 +476,42 @@ func (f *fakeTier) Store(key Key, val any) {
 	f.m[key] = val
 }
 
+// onEnqueue runs fn from the scheduler's own RunEnqueued callback for
+// key: after a joiner's join is registered, or before a leader's tier
+// probe and slot wait. Tests use it to force a cancel-while-waiting
+// interleaving without sleeping.
+type onEnqueue struct {
+	*recObserver
+	key Key
+	fn  func()
+}
+
+func (o *onEnqueue) RunEnqueued(id uint64, key Key, label string) {
+	o.recObserver.RunEnqueued(id, key, label)
+	if key == o.key {
+		o.fn()
+	}
+}
+
+// cancelOnNextErr is a context that, once armed, answers the next Err
+// call with nil and cancels itself from another goroutine. Armed just
+// before the slot wait, that next call is the wait loop's own check,
+// so the request goes to sleep with its cancellation already under
+// way, and only the cancellation's wake-up can end the wait.
+type cancelOnNextErr struct {
+	context.Context
+	cancel context.CancelFunc
+	armed  atomic.Bool
+}
+
+func (c *cancelOnNextErr) Err() error {
+	if c.armed.CompareAndSwap(true, false) {
+		go c.cancel()
+		return nil
+	}
+	return c.Context.Err()
+}
+
 func TestDoCtxCanceledWhileQueued(t *testing.T) {
 	s := New(1)
 	release := make(chan struct{})
@@ -487,30 +523,50 @@ func TestDoCtxCanceledWhileQueued(t *testing.T) {
 	})
 	<-started
 
-	// The pool is saturated, so this request waits for a slot; cancel it
-	// there and it must return promptly with Outcome Canceled.
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() { time.Sleep(10 * time.Millisecond); cancel() }()
-	ran := false
-	_, prov, err := s.DoCtx(ctx, KeyOf("queued"), "", true, func() (any, error) {
-		ran = true
-		return nil, nil
-	})
-	if !errors.Is(err, context.Canceled) || prov.Outcome != Canceled {
-		t.Fatalf("queued cancel: prov=%+v err=%v", prov, err)
-	}
-	if ran {
-		t.Error("canceled request still executed its function")
+	// The pool is saturated, so these requests must wait for a slot.
+	// One is canceled once announced, before the slot wait; the other
+	// while asleep in it. Both must return with Outcome Canceled
+	// instead of waiting for the hog.
+	for i, inWait := range []bool{false, true} {
+		base, cancel := context.WithCancel(context.Background())
+		ctx := &cancelOnNextErr{Context: base, cancel: cancel}
+		fire := cancel
+		if inWait {
+			fire = func() { ctx.armed.Store(true) }
+		}
+		key := KeyOf("queued", i)
+		s.SetObserver(&onEnqueue{recObserver: newRecObserver(), key: key, fn: fire})
+		done := make(chan error, 1)
+		go func() {
+			_, prov, err := s.DoCtx(ctx, key, "", true, func() (any, error) {
+				t.Error("canceled request still executed its function")
+				return nil, nil
+			})
+			if !errors.Is(err, context.Canceled) || prov.Outcome != Canceled {
+				err = fmt.Errorf("prov=%+v err=%v, want Canceled", prov, err)
+			} else {
+				err = nil
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("queued cancel (in wait %v): %v", inWait, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("queued cancel (in wait %v): the slot wait did not end", inWait)
+		}
 	}
 	close(release)
-	if st := s.Stats(); st.Canceled != 1 {
-		t.Errorf("stats = %+v, want 1 canceled", st)
+	if st := s.Stats(); st.Canceled != 2 {
+		t.Errorf("stats = %+v, want 2 canceled", st)
 	}
 
 	// Dead on arrival: an already-expired context never queues at all.
 	dead, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	_, prov, err = s.DoCtx(dead, KeyOf("doa"), "", true, func() (any, error) { return nil, nil })
+	_, prov, err := s.DoCtx(dead, KeyOf("doa"), "", true, func() (any, error) { return nil, nil })
 	if !errors.Is(err, context.Canceled) || prov.Outcome != Canceled {
 		t.Fatalf("DOA: prov=%+v err=%v", prov, err)
 	}
@@ -533,9 +589,10 @@ func TestJoinerDetachesOnOwnCancel(t *testing.T) {
 	<-inFn
 
 	// A joiner whose own context expires detaches; the leader keeps
-	// running and still populates the cache.
+	// running and still populates the cache. The joiner is canceled
+	// once announced, after its join is registered.
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() { time.Sleep(10 * time.Millisecond); cancel() }()
+	s.SetObserver(&onEnqueue{recObserver: newRecObserver(), key: key, fn: cancel})
 	_, prov, err := s.DoCtx(ctx, key, "", true, func() (any, error) {
 		t.Error("joiner ran the function")
 		return nil, nil
