@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"carf/internal/core"
 	"carf/internal/energy"
@@ -29,8 +28,6 @@ import (
 	"carf/internal/metrics"
 	"carf/internal/pipeline"
 	"carf/internal/profile"
-	"carf/internal/regfile"
-	"carf/internal/sched"
 	"carf/internal/workload"
 )
 
@@ -121,15 +118,8 @@ const checkWatchdogAfter = 50000
 // a known organization, in-range content-aware parameters, and sane
 // scale. Run calls it; CLIs can call it early for a better message.
 func (c Config) Validate() error {
-	switch c.Organization {
-	case Baseline, Unlimited:
-		// Conventional files have no tunable parameters.
-	case ContentAware, ContentAwareCAM, "":
-		if err := c.params().Validate(); err != nil {
-			return fmt.Errorf("carf: %w", err)
-		}
-	default:
-		return fmt.Errorf("carf: unknown organization %q (known: %v)", c.Organization, Organizations())
+	if err := c.org().Validate(); err != nil {
+		return fmt.Errorf("carf: %w", err)
 	}
 	if c.Scale < 0 || math.IsNaN(c.Scale) || math.IsInf(c.Scale, 0) {
 		return fmt.Errorf("carf: scale %v must be a non-negative finite number (0 means the default 1.0)", c.Scale)
@@ -137,36 +127,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func (c Config) params() core.Params {
-	p := core.DefaultParams()
-	if c.DPlusN > 0 {
-		p.DPlusN = c.DPlusN
-	}
-	if c.ShortRegs > 0 {
-		p.NumShort = c.ShortRegs
-	}
-	if c.LongRegs > 0 {
-		p.NumLong = c.LongRegs
-	}
-	p.CAMShort = c.Organization == ContentAwareCAM
-	return p
-}
-
-func (c Config) model() (regfile.Model, error) {
-	switch c.Organization {
-	case Baseline:
-		return regfile.Baseline(), nil
-	case Unlimited:
-		return regfile.Unlimited(), nil
-	case ContentAware, ContentAwareCAM, "":
-		p := c.params()
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		return core.New(p), nil
-	default:
-		return nil, fmt.Errorf("carf: unknown organization %q", c.Organization)
-	}
+// org is the organization half of c, in the form the experiment
+// harness resolves to a register file model.
+func (c Config) org() experiments.Org {
+	return experiments.Org{Name: string(c.Organization), DPlusN: c.DPlusN, ShortRegs: c.ShortRegs, LongRegs: c.LongRegs}
 }
 
 // Result reports one simulation.
@@ -219,57 +183,11 @@ func Run(kernel string, cfg Config) (Result, error) {
 	return RunCtx(context.Background(), kernel, cfg)
 }
 
-// Progress is one live snapshot of a running simulation, delivered to
-// the callback of RunCtxProgress (and ExperimentOptions.OnProgress).
-// Progress is purely observational: a run's Result is bit-identical
-// with or without a progress callback installed.
-type Progress struct {
-	// Label identifies the run ("sim/qsort/baseline" style for
-	// experiments, the kernel name for single runs).
-	Label string
-
-	Cycles       uint64
-	Instructions uint64
-
-	// Target is the run's known dynamic-instruction budget (0 when
-	// unknown); Pct is Instructions/Target in [0,1], or -1 when the
-	// target is unknown.
-	Target uint64
-	Pct    float64
-
-	// IntervalIPC is the throughput of the window since the previous
-	// report — live phase behaviour the cumulative IPC smooths away.
-	IntervalIPC float64
-
-	// InstsPerSec is the wall-clock retirement rate; EtaSeconds the
-	// remaining-work estimate from it (0 when unknowable).
-	InstsPerSec float64
-	EtaSeconds  float64
-
-	// Final marks the closing report: totals equal the run's Result.
-	Final bool
-}
-
-// RunCtxProgress is RunCtx with a live progress callback, invoked
-// periodically from the simulation loop and once more (Final) when the
-// run completes. The target instruction budget comes from a fast
-// functional pre-run of the kernel (memoized per kernel and scale), so
-// Pct and EtaSeconds are populated from the first frame. on runs on the
-// simulating goroutine and must return quickly; a nil on makes the call
-// identical to RunCtx.
-func RunCtxProgress(ctx context.Context, kernel string, cfg Config, on func(Progress)) (Result, error) {
-	return runCtx(ctx, kernel, cfg, on)
-}
-
 // RunCtx is Run with cancellation: the simulation polls ctx
 // periodically and aborts with ctx's error once it is canceled or past
 // its deadline. The partial run's statistics are discarded — a
 // canceled simulation never produces a Result.
 func RunCtx(ctx context.Context, kernel string, cfg Config) (Result, error) {
-	return runCtx(ctx, kernel, cfg, nil)
-}
-
-func runCtx(ctx context.Context, kernel string, cfg Config, on func(Progress)) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -280,7 +198,7 @@ func runCtx(ctx context.Context, kernel string, cfg Config, on func(Progress)) (
 	if err != nil {
 		return Result{}, err
 	}
-	model, err := cfg.model()
+	model, err := cfg.org().Model()
 	if err != nil {
 		return Result{}, err
 	}
@@ -316,36 +234,6 @@ func runCtx(ctx context.Context, kernel string, cfg Config, on func(Progress)) (
 	}
 	if ctx.Done() != nil {
 		cpu.SetInterrupt(ctx.Err)
-	}
-	if on != nil {
-		// Out-of-band like SetInterrupt: progress hooks never enter
-		// Config, so memoization keys built from Config stay stable.
-		target := workload.Budget(k, cfg.Scale)
-		if cfg.MaxInstructions > 0 && (target == 0 || cfg.MaxInstructions < target) {
-			target = cfg.MaxInstructions
-		}
-		start := time.Now()
-		cpu.SetProgress(func(pp pipeline.Progress) {
-			p := Progress{
-				Label:        kernel,
-				Cycles:       pp.Cycles,
-				Instructions: pp.Instructions,
-				Target:       target,
-				Pct:          -1,
-				IntervalIPC:  pp.IntervalIPC,
-				Final:        pp.Final,
-			}
-			if target > 0 {
-				p.Pct = math.Min(float64(pp.Instructions)/float64(target), 1)
-			}
-			if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-				p.InstsPerSec = float64(pp.Instructions) / elapsed
-				if target > pp.Instructions && p.InstsPerSec > 0 {
-					p.EtaSeconds = float64(target-pp.Instructions) / p.InstsPerSec
-				}
-			}
-			on(p)
-		})
 	}
 	st, err := cpu.Run()
 	if err != nil {
@@ -420,14 +308,6 @@ type ExperimentOptions struct {
 	// scheduler pool, so concurrent RunExperiment calls never exceed it
 	// combined. 0 leaves the current bound (initially GOMAXPROCS).
 	Parallel int
-
-	// OnProgress, when non-nil, receives live progress frames from every
-	// simulation the experiment actually executes (memoized and joined
-	// runs do no work and report nothing). The callback must be safe for
-	// concurrent use — parallel simulations report concurrently — and is
-	// purely observational: rendered experiment output is byte-identical
-	// with or without it.
-	OnProgress func(Progress)
 }
 
 // RunExperiment regenerates one paper exhibit and returns its rendered
@@ -438,106 +318,9 @@ type ExperimentOptions struct {
 // reuse earlier results. Rendered output is deterministic: it does not
 // depend on Parallel or on cache state.
 func RunExperiment(name string, opt ExperimentOptions) (string, error) {
-	rep, err := RunExperimentReport(name, opt)
-	return rep.Text, err
-}
-
-// ExperimentReport is one experiment's rendered output plus the
-// scheduler activity attributable to that experiment alone.
-type ExperimentReport struct {
-	Name string
-	Text string
-
-	// Sched counts the scheduler requests this experiment itself issued —
-	// not the process-wide totals, which interleave concurrent
-	// experiments. Workers and CacheEntries are pool-wide properties and
-	// stay zero here; read them from GlobalSchedulerStats.
-	Sched SchedulerStats
-}
-
-// RunExperimentReport is RunExperiment with per-experiment scheduler
-// attribution: how many of this experiment's simulations ran fresh,
-// were served from the memo cache, or joined an identical in-flight
-// run. The counts are exact even when experiments run concurrently.
-func RunExperimentReport(name string, opt ExperimentOptions) (ExperimentReport, error) {
-	eopt := experiments.Options{Ctx: opt.Ctx, Scale: opt.Scale, Parallel: opt.Parallel}
-	if opt.OnProgress != nil {
-		on := opt.OnProgress
-		eopt.OnProgress = func(label string, p sched.Progress) {
-			on(Progress{
-				Label:        label,
-				Cycles:       p.Cycles,
-				Instructions: p.Insts,
-				Target:       p.Target,
-				Pct:          p.Pct(),
-				IntervalIPC:  p.IntervalIPC,
-				InstsPerSec:  p.InstsPerSec,
-				EtaSeconds:   p.ETASeconds,
-				Final:        p.Final,
-			})
-		}
-	}
-	r, err := experiments.Run(name, eopt)
+	r, err := experiments.Run(name, experiments.Options{Ctx: opt.Ctx, Scale: opt.Scale, Parallel: opt.Parallel})
 	if err != nil {
-		return ExperimentReport{}, err
+		return "", err
 	}
-	return ExperimentReport{
-		Name: name,
-		Text: r.Render(),
-		Sched: SchedulerStats{
-			Runs:             r.Sched.Runs,
-			Misses:           r.Sched.Misses,
-			Hits:             r.Sched.Hits,
-			DiskHits:         r.Sched.DiskHits,
-			Joins:            r.Sched.Joins,
-			PeerHits:         r.Sched.PeerHits,
-			Canceled:         r.Sched.Canceled,
-			Errors:           r.Sched.Errors,
-			QueueWaitSeconds: r.Sched.QueueWait.Seconds(),
-			SimWallSeconds:   r.Sched.SimWall.Seconds(),
-			LeaseWaitSeconds: r.Sched.LeaseWait.Seconds(),
-		},
-	}, nil
-}
-
-// SchedulerStats snapshots the process-global simulation scheduler: how
-// many runs experiments requested, how many actually simulated (Misses),
-// and how many were served from the memo cache (Hits) or joined an
-// identical in-flight run (Joins).
-type SchedulerStats struct {
-	Workers      int    // worker-pool bound
-	CacheEntries int    // completed runs held in the in-memory cache
-	Runs         uint64 // total requests
-	Misses       uint64 // requests that simulated
-	Hits         uint64 // requests served from the in-memory cache
-	DiskHits     uint64 // requests served from the persistent tier
-	Joins        uint64 // requests that joined an in-flight run
-	PeerHits     uint64 // requests served by a peer process sharing the store
-	Canceled     uint64 // requests abandoned by their context
-	Errors       uint64 // requests whose simulation failed
-
-	QueueWaitSeconds float64 // cumulative worker-slot wait
-	SimWallSeconds   float64 // cumulative simulation wall time
-	LeaseWaitSeconds float64 // cumulative wait on peer processes' leases
-}
-
-// GlobalSchedulerStats reports the process-global scheduler's cumulative
-// counters (all RunExperiment work in this process so far).
-func GlobalSchedulerStats() SchedulerStats {
-	st := sched.Global().Stats()
-	return SchedulerStats{
-		Workers:          st.Workers,
-		CacheEntries:     st.CacheEntries,
-		Runs:             st.Runs,
-		Misses:           st.Misses,
-		Hits:             st.Hits,
-		DiskHits:         st.DiskHits,
-		Joins:            st.Joins,
-		PeerHits:         st.PeerHits,
-		Canceled:         st.Canceled,
-		Errors:           st.Errors,
-		QueueWaitSeconds: st.QueueWait.Seconds(),
-		SimWallSeconds:   st.SimWall.Seconds(),
-		LeaseWaitSeconds: st.LeaseWait.Seconds(),
-	}
+	return r.Render(), nil
 }

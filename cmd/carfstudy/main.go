@@ -58,7 +58,7 @@ import (
 
 // result is one experiment's rendered output (or failure).
 type result struct {
-	rep     carf.ExperimentReport
+	rep     experiments.Result
 	err     error
 	elapsed time.Duration
 }
@@ -70,10 +70,10 @@ type result struct {
 // experiment to a line every couple of seconds. Logging is purely
 // observational: stdout and -out output are byte-identical with or
 // without it.
-func progressLogger(logger *slog.Logger, exp string) func(carf.Progress) {
+func progressLogger(logger *slog.Logger, exp string) func(string, sched.Progress) {
 	var mu sync.Mutex
 	var last time.Time
-	return func(p carf.Progress) {
+	return func(label string, p sched.Progress) {
 		mu.Lock()
 		if time.Since(last) < 2*time.Second {
 			mu.Unlock()
@@ -81,15 +81,15 @@ func progressLogger(logger *slog.Logger, exp string) func(carf.Progress) {
 		}
 		last = time.Now()
 		mu.Unlock()
-		attrs := []any{"exp", exp, "run", p.Label, "insts", p.Instructions}
-		if p.Pct >= 0 {
-			attrs = append(attrs, "pct", fmt.Sprintf("%.0f%%", p.Pct*100))
+		attrs := []any{"exp", exp, "run", label, "insts", p.Insts}
+		if pct := p.Pct(); pct >= 0 {
+			attrs = append(attrs, "pct", fmt.Sprintf("%.0f%%", pct*100))
 		}
 		if p.IntervalIPC > 0 {
 			attrs = append(attrs, "interval_ipc", fmt.Sprintf("%.3f", p.IntervalIPC))
 		}
-		if p.EtaSeconds > 0 {
-			attrs = append(attrs, "eta", (time.Duration(p.EtaSeconds * float64(time.Second))).Round(100*time.Millisecond))
+		if p.ETASeconds > 0 {
+			attrs = append(attrs, "eta", (time.Duration(p.ETASeconds * float64(time.Second))).Round(100*time.Millisecond))
 		}
 		logger.Info("simulation progress", attrs...)
 	}
@@ -191,37 +191,44 @@ func main() {
 	reports := make([]result, len(names))
 	completed := 0
 
-	// Launch up to -jobs experiments at once; each delivers into its own
-	// single-slot channel so the printer below can stream results in
-	// experiment order while later experiments keep running. Simulation
-	// concurrency inside them stays bounded by the global scheduler pool.
+	// Launch up to -jobs experiments at once, in experiment order, so
+	// which experiment simulates a shared run (and which is served it
+	// from the cache) is the same every time at -jobs 1. Each delivers
+	// into its own single-slot channel so the printer below can stream
+	// results in experiment order while later experiments keep running.
+	// Simulation concurrency inside them stays bounded by the global
+	// scheduler pool.
 	sem := make(chan struct{}, *jobs)
 	done := make([]chan result, len(names))
-	for i, name := range names {
+	for i := range names {
 		done[i] = make(chan result, 1)
-		go func(name string, ch chan<- result) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sp := hub.ExperimentStart(name)
-			logger.Info("experiment started", "exp", name)
-			t0 := time.Now()
-			opt := carf.ExperimentOptions{Ctx: ctx, Scale: *scale}
-			if *progress {
-				opt.OnProgress = progressLogger(logger, name)
-			}
-			rep, err := carf.RunExperimentReport(name, opt)
-			elapsed := time.Since(t0)
-			hub.ExperimentEnd(name, sp, elapsed, err)
-			if err == nil {
-				logger.Info("experiment finished", "exp", name,
-					"elapsed", elapsed.Round(time.Millisecond),
-					"runs", rep.Sched.Runs, "simulated", rep.Sched.Misses,
-					"cached", rep.Sched.Hits, "disk", rep.Sched.DiskHits,
-					"peer", rep.Sched.PeerHits, "joined", rep.Sched.Joins)
-			}
-			ch <- result{rep: rep, err: err, elapsed: elapsed}
-		}(name, done[i])
 	}
+	go func() {
+		for i, name := range names {
+			sem <- struct{}{}
+			go func(name string, ch chan<- result) {
+				defer func() { <-sem }()
+				sp := hub.ExperimentStart(name)
+				logger.Info("experiment started", "exp", name)
+				t0 := time.Now()
+				opt := experiments.Options{Ctx: ctx, Scale: *scale}
+				if *progress {
+					opt.OnProgress = progressLogger(logger, name)
+				}
+				rep, err := experiments.Run(name, opt)
+				elapsed := time.Since(t0)
+				hub.ExperimentEnd(name, sp, elapsed, err)
+				if err == nil {
+					logger.Info("experiment finished", "exp", name,
+						"elapsed", elapsed.Round(time.Millisecond),
+						"runs", rep.Sched.Runs, "simulated", rep.Sched.Misses,
+						"cached", rep.Sched.Hits, "disk", rep.Sched.DiskHits,
+						"peer", rep.Sched.PeerHits, "joined", rep.Sched.Joins)
+				}
+				ch <- result{rep: rep, err: err, elapsed: elapsed}
+			}(name, done[i])
+		}
+	}()
 
 	// Stream results in experiment order. On failure — including a
 	// signal-driven cancellation — stop printing but fall through to the
@@ -240,7 +247,7 @@ func main() {
 		reports[i] = r
 		completed++
 		fmt.Fprintf(w, "== %s: %s (%.1fs)\n\n%s\n", name, carf.DescribeExperiment(name),
-			r.elapsed.Seconds(), r.rep.Text)
+			r.elapsed.Seconds(), r.rep.Render())
 		if *progress {
 			if remaining := len(names) - completed; remaining > 0 {
 				avg := time.Since(start) / time.Duration(completed)
@@ -253,7 +260,7 @@ func main() {
 	}
 
 	if exitCode == 0 {
-		totals := carf.GlobalSchedulerStats()
+		totals := sched.Global().Stats()
 		fmt.Fprintf(w, "total: %d experiments in %.1fs (jobs %d; %d simulations: %d run, %d cached, %d disk, %d peer, %d joined)\n",
 			len(names), time.Since(start).Seconds(), *jobs, totals.Runs, totals.Misses, totals.Hits, totals.DiskHits, totals.PeerHits, totals.Joins)
 		if st != nil {
@@ -265,7 +272,7 @@ func main() {
 		for i, name := range names {
 			s := reports[i].rep.Sched
 			fmt.Fprintf(w, "  %-9s %4d runs: %4d simulated, %4d cached, %4d disk, %4d peer, %4d joined  (queue %.2fs, sim %.2fs)\n",
-				name, s.Runs, s.Misses, s.Hits, s.DiskHits, s.PeerHits, s.Joins, s.QueueWaitSeconds, s.SimWallSeconds)
+				name, s.Runs, s.Misses, s.Hits, s.DiskHits, s.PeerHits, s.Joins, s.QueueWait.Seconds(), s.SimWall.Seconds())
 		}
 	} else if completed > 0 {
 		fmt.Fprintf(w, "(interrupted after %d of %d experiments)\n", completed, len(names))

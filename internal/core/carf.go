@@ -24,6 +24,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -166,6 +168,21 @@ func (s Stats) AvgLiveLong() float64 {
 		return 0
 	}
 	return float64(s.LiveLongSum) / float64(s.LiveLongSamples)
+}
+
+// MarshalBinary encodes s as its fixed-width fields in declaration
+// order. gob then carries Stats as one opaque value, instead of
+// compiling a field-by-field decoder for it on every blob the result
+// store reads.
+func (s Stats) MarshalBinary() ([]byte, error) {
+	var b bytes.Buffer
+	err := binary.Write(&b, binary.LittleEndian, s)
+	return b.Bytes(), err
+}
+
+// UnmarshalBinary decodes what MarshalBinary encoded.
+func (s *Stats) UnmarshalBinary(b []byte) error {
+	return binary.Read(bytes.NewReader(b), binary.LittleEndian, s)
 }
 
 type simpleEntry struct {

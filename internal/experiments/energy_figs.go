@@ -62,7 +62,7 @@ func Fig7(opt Options) (Result, error) {
 }
 
 // suiteEnergy sums the modeled register file energy over a suite.
-func suiteEnergy(tech energy.Tech, outs []runOut) float64 {
+func suiteEnergy(tech energy.Tech, outs []RunOut) float64 {
 	var total float64
 	for _, o := range outs {
 		total += tech.Organization(o.Files).TotalEnergy

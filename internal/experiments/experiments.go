@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"sync"
 
 	"carf/internal/core"
 	"carf/internal/pipeline"
@@ -20,17 +21,18 @@ import (
 )
 
 // StoreSchema versions the persisted encoding of cached run results
-// for the on-disk tier (internal/store). Bump it whenever runOut's
+// for the on-disk tier (internal/store). Bump it whenever RunOut's
 // shape, the statistics it carries, or the simulation's observable
 // behaviour changes — a stale blob under the old schema is then simply
-// never found, rather than wrongly served.
-const StoreSchema = "carf-run/v1"
+// never found, rather than wrongly served. Run keys digest
+// pipeline.Config, so removing or adding a Config field bumps it too.
+const StoreSchema = "carf-run/v2"
 
 func init() {
-	// runOut crosses the store's any-envelope, so its concrete type must
+	// RunOut crosses the store's any-envelope, so its concrete type must
 	// be registered for gob. Named here once; values containing only
 	// exported scalar/slice fields round-trip exactly.
-	gob.Register(runOut{})
+	gob.Register(RunOut{})
 }
 
 // Options configures an experiment run.
@@ -214,15 +216,74 @@ func carfSpec(p core.Params) modelSpec {
 	return modelSpec{fmt.Sprintf("carf%+v", p), func() regfile.Model { return core.New(p) }}
 }
 
-// runOut is one simulation's harvest. Cached runOuts are shared across
+// Org names a register file organization and its content-aware
+// parameters — the model half of a default-machine kernel run. It is
+// the one mapping from organization names to models: carf.Config and
+// carfserve's kernel jobs both resolve through it.
+type Org struct {
+	// Name is "unlimited", "baseline", "content-aware" (also "") or
+	// "content-aware-cam".
+	Name string
+	// Content-aware parameters; zero takes the paper's default.
+	DPlusN, ShortRegs, LongRegs int
+}
+
+// orgNames lists the organization names Org accepts.
+var orgNames = []string{"unlimited", "baseline", "content-aware", "content-aware-cam"}
+
+// spec resolves o to its model spec, validating the content-aware
+// parameters. It builds no model.
+func (o Org) spec() (modelSpec, error) {
+	switch o.Name {
+	case "baseline":
+		return baselineSpec(), nil
+	case "unlimited":
+		return unlimitedSpec(), nil
+	case "content-aware", "content-aware-cam", "":
+		p := core.DefaultParams()
+		if o.DPlusN > 0 {
+			p.DPlusN = o.DPlusN
+		}
+		if o.ShortRegs > 0 {
+			p.NumShort = o.ShortRegs
+		}
+		if o.LongRegs > 0 {
+			p.NumLong = o.LongRegs
+		}
+		p.CAMShort = o.Name == "content-aware-cam"
+		if err := p.Validate(); err != nil {
+			return modelSpec{}, err
+		}
+		return carfSpec(p), nil
+	}
+	return modelSpec{}, fmt.Errorf("unknown organization %q (known: %v)", o.Name, orgNames)
+}
+
+// Validate reports whether o names a known organization with in-range
+// content-aware parameters.
+func (o Org) Validate() error {
+	_, err := o.spec()
+	return err
+}
+
+// Model builds a fresh register file model for o.
+func (o Org) Model() (regfile.Model, error) {
+	spec, err := o.spec()
+	if err != nil {
+		return nil, err
+	}
+	return spec.new(), nil
+}
+
+// RunOut is one simulation's harvest. Cached RunOuts are shared across
 // experiments: everything reachable from one (Pstats, Files, Carf) is
 // an immutable snapshot and must only be read. Fields are exported
-// because runOut is also the unit of persistence — the disk tier
+// because RunOut is also the unit of persistence — the disk tier
 // gob-encodes it, and unexported fields would be silently dropped.
 // Kernel is the kernel's *name*, not the workload.Kernel itself:
 // vm.Program carries unexported derived state that gob cannot carry,
 // and the scheduler key already pins the exact program content.
-type runOut struct {
+type RunOut struct {
 	Kernel string
 	Pstats pipeline.Stats
 	Files  []regfile.FileActivity
@@ -234,41 +295,68 @@ type runOut struct {
 // same inputs (plain sim, oracle-sampled, profiled, ...); extras carry
 // family-specific knobs (sampler periods, fault descriptors).
 func runKey(kind string, opt Options, kernel string, specID string, cfg pipeline.Config, extra ...any) sched.Key {
-	parts := append([]any{kind, kernel, opt.Scale, specID, cfg}, extra...)
+	parts := append([]any{kind, kernel, opt.Scale, specID, renderCfg(cfg)}, extra...)
 	return sched.KeyOf(parts...)
+}
+
+// cfgTexts memoizes each pipeline.Config's %#v rendering, which names
+// every field and value. Rendering the whole machine description costs
+// more than the rest of a memory hit; the few configs a process uses
+// are rendered once each.
+var cfgTexts sync.Map // pipeline.Config -> cfgText
+
+// cfgText is a config's memoized rendering. It renders under %#v as
+// the text itself, so a key digests the same bytes as for the Config.
+type cfgText string
+
+func (t cfgText) GoString() string { return string(t) }
+
+func renderCfg(cfg pipeline.Config) cfgText {
+	if t, ok := cfgTexts.Load(cfg); ok {
+		return t.(cfgText)
+	}
+	t := cfgText(fmt.Sprintf("%#v", cfg))
+	cfgTexts.Store(cfg, t)
+	return t
 }
 
 // simulate runs kernel k on a fresh model, optionally with a live-value
 // sampler attached. It is the scheduler-job body shared by every
 // harvesting path; callers go through runOneCfg (or a sibling wrapper)
-// so the run is pooled and memoized.
-func simulate(ctx context.Context, k workload.Kernel, spec modelSpec, cfg pipeline.Config, sampler pipeline.LiveSampler, period int, report sched.ProgressFunc) (runOut, error) {
+// so the run is pooled and memoized. A run to completion must leave
+// the kernel's checksum in the result register.
+func simulate(opt Options, k workload.Kernel, spec modelSpec, cfg pipeline.Config, sampler pipeline.LiveSampler, period int, report sched.ProgressFunc) (RunOut, error) {
 	model := spec.new()
 	cpu := pipeline.New(cfg, k.Prog, model)
 	if sampler != nil {
 		cpu.SetSampler(sampler, period)
 	}
-	if ctx.Done() != nil {
+	if opt.Ctx.Done() != nil {
 		// Cooperative abort: the cycle loop polls ctx.Err periodically.
 		// Installed out-of-band (not via Config) so cache keys, which
 		// digest Config by value, stay context-free.
-		cpu.SetInterrupt(ctx.Err)
+		cpu.SetInterrupt(opt.Ctx.Err)
 	}
 	if report != nil {
 		// Live progress, also out-of-band for the same reason: the hook
 		// never appears in Config, so run keys are byte-identical with
-		// observation on or off.
-		cpu.SetProgress(func(pp pipeline.Progress) { report(toSchedProgress(pp)) })
+		// observation on or off. The budget comes from a memoized
+		// functional pre-run, paid only when someone watches.
+		target := workload.Budget(k, opt.Scale)
+		cpu.SetProgress(func(pp pipeline.Progress) { report(toSchedProgress(pp, target)) })
 	}
 	st, err := cpu.Run()
 	if err != nil {
-		return runOut{}, fmt.Errorf("%s on %s: %w", k.Name, model.Name(), err)
+		return RunOut{}, fmt.Errorf("%s on %s: %w", k.Name, model.Name(), err)
 	}
 	if st.ValueMismatches != 0 {
-		return runOut{}, fmt.Errorf("%s on %s: %d register reconstruction mismatches",
+		return RunOut{}, fmt.Errorf("%s on %s: %d register reconstruction mismatches",
 			k.Name, model.Name(), st.ValueMismatches)
 	}
-	out := runOut{Kernel: k.Name, Pstats: st, Files: model.Files()}
+	if got := cpu.Machine().X[workload.ResultReg]; cfg.MaxInstructions == 0 && got != k.Expected {
+		return RunOut{}, fmt.Errorf("%s on %s: computed %#x, expected %#x", k.Name, model.Name(), got, k.Expected)
+	}
+	out := RunOut{Kernel: k.Name, Pstats: st, Files: model.Files()}
 	if f, ok := model.(*core.File); ok {
 		cs := f.Stats()
 		out.Carf = &cs
@@ -277,13 +365,14 @@ func simulate(ctx context.Context, k workload.Kernel, spec modelSpec, cfg pipeli
 }
 
 // runOne simulates kernel k on a fresh model through the scheduler.
-func runOne(k workload.Kernel, spec modelSpec, opt Options) (runOut, error) {
+func runOne(k workload.Kernel, spec modelSpec, opt Options) (RunOut, error) {
 	return runOneCfg(k, spec, pipeline.DefaultConfig(), opt)
 }
 
 // toSchedProgress converts the simulator's progress snapshot to the
-// scheduler's frame shape (the scheduler stamps the wall-clock fields).
-func toSchedProgress(p pipeline.Progress) sched.Progress {
+// scheduler's frame shape, stamped with the run's instruction budget
+// (the scheduler stamps the wall-clock fields).
+func toSchedProgress(p pipeline.Progress, target uint64) sched.Progress {
 	return sched.Progress{
 		Cycles:         p.Cycles,
 		Insts:          p.Instructions,
@@ -296,18 +385,8 @@ func toSchedProgress(p pipeline.Progress) sched.Progress {
 		LSQ:            p.LSQ,
 		Writes:         p.Writes,
 		Final:          p.Final,
+		Target:         target,
 	}
-}
-
-// progressTarget returns the kernel's dynamic instruction budget for
-// ETA math, or 0 when nobody is watching — the budget comes from a
-// (memoized) functional pre-run, a cost worth paying only when an
-// observer or progress callback will consume the ETA.
-func progressTarget(opt Options, k workload.Kernel) uint64 {
-	if !opt.Sched.Observed() && opt.OnProgress == nil {
-		return 0
-	}
-	return workload.Budget(k, opt.Scale)
 }
 
 // runLabel renders the human-readable run description carried to the
@@ -321,33 +400,59 @@ func runLabel(kind, kernel, specID string) string {
 // (ablations: bypass depth, widths). The run is submitted to the
 // scheduler: concurrency is bounded by the shared worker pool and the
 // result is memoized by (kernel, scale, model spec, config).
-func runOneCfg(k workload.Kernel, spec modelSpec, cfg pipeline.Config, opt Options) (runOut, error) {
-	label := runLabel("sim", k.Name, spec.id)
+func runOneCfg(k workload.Kernel, spec modelSpec, cfg pipeline.Config, opt Options) (RunOut, error) {
+	return runSim(k.Name, func() (workload.Kernel, error) { return k, nil }, spec, cfg, opt)
+}
+
+// RunKernel simulates the named kernel at opt.Scale on the default
+// machine (pipeline.DefaultConfig) with org's register file, as the
+// same "sim" run every experiment's plain simulations are: one key,
+// one memo entry and one persisted blob, whoever asks first. The
+// kernel is built inside the scheduler body, so a memory or disk hit
+// builds nothing. opt.Tally and opt.OnProgress apply as for an
+// experiment.
+func RunKernel(kernel string, org Org, opt Options) (RunOut, error) {
+	spec, err := org.spec()
+	if err != nil {
+		return RunOut{}, err
+	}
+	opt = opt.withDefaults()
+	return runSim(kernel, func() (workload.Kernel, error) { return workload.ByName(kernel, opt.Scale) },
+		spec, pipeline.DefaultConfig(), opt)
+}
+
+// runSim submits one plain simulation of the kernel that build makes.
+// build runs only inside the scheduler body, on a miss.
+func runSim(kernel string, build func() (workload.Kernel, error), spec modelSpec, cfg pipeline.Config, opt Options) (RunOut, error) {
+	label := runLabel("sim", kernel, spec.id)
 	var onProgress sched.ProgressFunc
 	if opt.OnProgress != nil {
 		onProgress = func(p sched.Progress) { opt.OnProgress(label, p) }
 	}
-	v, prov, err := opt.Sched.DoProgress(opt.Ctx, runKey("sim", opt, k.Name, spec.id, cfg),
-		label, true, progressTarget(opt, k), onProgress,
+	v, prov, err := opt.Sched.DoProgress(opt.Ctx, runKey("sim", opt, kernel, spec.id, cfg), label, true, onProgress,
 		func(report sched.ProgressFunc) (any, error) {
-			return simulate(opt.Ctx, k, spec, cfg, nil, 0, report)
+			k, err := build()
+			if err != nil {
+				return nil, err
+			}
+			return simulate(opt, k, spec, cfg, nil, 0, report)
 		})
 	opt.Tally.Record(prov, err)
 	if err != nil {
-		return runOut{}, err
+		return RunOut{}, err
 	}
-	return v.(runOut), nil
+	return v.(RunOut), nil
 }
 
 // runSuite simulates every kernel of a suite on fresh models through
 // the scheduler, returning results in suite order.
-func runSuite(kernels []workload.Kernel, spec modelSpec, opt Options) ([]runOut, error) {
+func runSuite(kernels []workload.Kernel, spec modelSpec, opt Options) ([]RunOut, error) {
 	return runSuiteCfg(kernels, spec, pipeline.DefaultConfig(), opt)
 }
 
 // runSuiteCfg is runSuite with an explicit pipeline configuration.
-func runSuiteCfg(kernels []workload.Kernel, spec modelSpec, cfg pipeline.Config, opt Options) ([]runOut, error) {
-	outs := make([]runOut, len(kernels))
+func runSuiteCfg(kernels []workload.Kernel, spec modelSpec, cfg pipeline.Config, opt Options) ([]RunOut, error) {
+	outs := make([]RunOut, len(kernels))
 	err := sched.ForEach(len(kernels), func(i int) error {
 		var err error
 		outs[i], err = runOneCfg(kernels[i], spec, cfg, opt)
@@ -360,7 +465,7 @@ func runSuiteCfg(kernels []workload.Kernel, spec modelSpec, cfg pipeline.Config,
 }
 
 // meanRelIPC returns mean(IPC_a / IPC_b) across paired runs.
-func meanRelIPC(a, b []runOut) float64 {
+func meanRelIPC(a, b []RunOut) float64 {
 	ratios := make([]float64, len(a))
 	for i := range a {
 		ratios[i] = a[i].Pstats.IPC() / b[i].Pstats.IPC()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"carf/internal/core"
+	"carf/internal/sched"
 	"carf/internal/workload"
 )
 
@@ -538,5 +539,28 @@ func TestRunPopulatesSchedStats(t *testing.T) {
 	}
 	if r2.Sched.Misses != 0 {
 		t.Errorf("rerun simulated %d fresh runs, want 0 (all cached)", r2.Sched.Misses)
+	}
+}
+
+// TestSimulateChecksExpected: a run to completion whose result register
+// disagrees with the kernel's checksum fails with an error instead of
+// producing (and memoizing) a result.
+func TestSimulateChecksExpected(t *testing.T) {
+	k, err := workload.ByName("crc64", 0.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Scale: 0.04, Sched: sched.New(1)}.withDefaults()
+	if _, err := runOne(k, baselineSpec(), opt); err != nil {
+		t.Fatalf("correct kernel failed: %v", err)
+	}
+	k.Expected ^= 1
+	opt.Sched = sched.New(1)
+	out, err := runOne(k, baselineSpec(), opt)
+	if err == nil || !strings.Contains(err.Error(), "expected") {
+		t.Fatalf("wrong checksum: err = %v, result %+v; want a checksum error", err, out.Pstats)
+	}
+	if st := opt.Sched.Stats(); st.Errors != 1 || st.CacheEntries != 0 {
+		t.Errorf("scheduler stats %+v, want one error and nothing cached", st)
 	}
 }

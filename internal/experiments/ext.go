@@ -130,7 +130,7 @@ func camStudy(opt Options) (stats.Table, error) {
 	}
 
 	tech := energy.DefaultTech()
-	shortEnergy := func(outs []runOut) float64 {
+	shortEnergy := func(outs []RunOut) float64 {
 		var e float64
 		for _, o := range outs {
 			for _, f := range tech.Organization(o.Files).Files {

@@ -30,7 +30,7 @@ func oracleSuite(kernels []workload.Kernel, ds []int, opt Options) ([]*oracle.An
 				analyzers[j] = oracle.NewAnalyzer(d)
 				local[j] = analyzers[j]
 			}
-			if _, err := simulate(opt.Ctx, k, baselineSpec(), cfg, local, opt.SamplePeriod, nil); err != nil {
+			if _, err := simulate(opt, k, baselineSpec(), cfg, local, opt.SamplePeriod, nil); err != nil {
 				return nil, err
 			}
 			return analyzers, nil

@@ -64,7 +64,7 @@ func Sweeps(opt Options) (Result, error) {
 		}
 		var live []float64
 		var recov, spills uint64
-		for _, o := range append(append([]runOut{}, carfInt...), carfFP...) {
+		for _, o := range append(append([]RunOut{}, carfInt...), carfFP...) {
 			live = append(live, o.Carf.AvgLiveLong())
 			recov += o.Pstats.RecoveryStallCycles
 			spills += o.Pstats.ForcedSpills

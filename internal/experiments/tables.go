@@ -37,7 +37,7 @@ func Table2(opt Options) (Result, error) {
 	return Result{Name: "table2", Tables: []stats.Table{tb}}, nil
 }
 
-func suiteBypass(outs []runOut) float64 {
+func suiteBypass(outs []RunOut) float64 {
 	var ops, byp uint64
 	for _, o := range outs {
 		ops += o.Pstats.IntOperands

@@ -51,7 +51,7 @@ func WrongPath(opt Options) (Result, error) {
 
 		stallEnergy := suiteEnergy(tech, stall)
 		specEnergy := suiteEnergy(tech, spec)
-		ipc := func(outs []runOut) float64 {
+		ipc := func(outs []RunOut) float64 {
 			var vals []float64
 			for _, o := range outs {
 				vals = append(vals, o.Pstats.IPC())

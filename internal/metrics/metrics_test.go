@@ -304,40 +304,3 @@ func TestRegistryRead(t *testing.T) {
 		}
 	}
 }
-
-func TestSamplerLatest(t *testing.T) {
-	reg := NewRegistry()
-	c := reg.Counter("c")
-	s := NewSampler(reg, 10)
-	if _, ok := s.Latest(); ok {
-		t.Fatal("Latest reported a sample before any was taken")
-	}
-	for cycle := uint64(0); cycle <= 25; cycle++ {
-		c.Inc()
-		s.Tick(cycle)
-	}
-	sm, ok := s.Latest()
-	if !ok || sm.Cycle != 20 {
-		t.Fatalf("latest = %+v ok=%v, want the cycle-20 sample", sm, ok)
-	}
-	s.Final(25)
-	sm, ok = s.Latest()
-	if !ok || sm.Cycle != 25 {
-		t.Fatalf("latest after Final = %+v ok=%v, want cycle 25", sm, ok)
-	}
-
-	// With a bounded ring that has wrapped, Latest must still be the
-	// newest sample, not the oldest slot.
-	reg2 := NewRegistry()
-	c2 := reg2.Counter("c")
-	s2 := NewSampler(reg2, 10)
-	s2.SetCap(2)
-	for cycle := uint64(0); cycle <= 75; cycle++ {
-		c2.Inc()
-		s2.Tick(cycle)
-	}
-	sm, ok = s2.Latest()
-	if !ok || sm.Cycle != 70 {
-		t.Fatalf("latest after wrap = %+v ok=%v, want the cycle-70 sample", sm, ok)
-	}
-}

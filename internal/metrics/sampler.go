@@ -130,23 +130,6 @@ func (s *Sampler) take(cycle uint64) {
 // Len returns the number of retained samples.
 func (s *Sampler) Len() int { return len(s.ring) }
 
-// Latest returns the most recent sample taken (false before the first).
-// Progress reporting uses it to attach the newest interval window to a
-// live frame without copying the whole series.
-func (s *Sampler) Latest() (Sample, bool) {
-	if !s.sampled || len(s.ring) == 0 {
-		return Sample{}, false
-	}
-	if s.full {
-		idx := s.head - 1
-		if idx < 0 {
-			idx = len(s.ring) - 1
-		}
-		return s.ring[idx], true
-	}
-	return s.ring[len(s.ring)-1], true
-}
-
 // Series returns the retained samples oldest-first, with the registry's
 // series names.
 func (s *Sampler) Series() TimeSeries {

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -289,6 +291,21 @@ func (s Stats) IPC() float64 {
 	return float64(s.Instructions) / float64(s.Cycles)
 }
 
+// MarshalBinary encodes s as its fixed-width fields in declaration
+// order. gob then carries Stats as one opaque value, instead of
+// compiling a field-by-field decoder for it on every blob the result
+// store reads.
+func (s Stats) MarshalBinary() ([]byte, error) {
+	var b bytes.Buffer
+	err := binary.Write(&b, binary.LittleEndian, s)
+	return b.Bytes(), err
+}
+
+// UnmarshalBinary decodes what MarshalBinary encoded.
+func (s *Stats) UnmarshalBinary(b []byte) error {
+	return binary.Read(bytes.NewReader(b), binary.LittleEndian, s)
+}
+
 // BypassRate returns the fraction of integer operands served by the
 // bypass network instead of a register file read (Table 2).
 func (s Stats) BypassRate() float64 {
@@ -327,7 +344,6 @@ func New(cfg Config, prog *vm.Program, model regfile.Model) *CPU {
 	if c.bypassDepth == 0 {
 		c.bypassDepth = c.writeStages
 	}
-	c.samplePeriod = int64(cfg.SamplePeriod)
 	if cfg.PortContention {
 		// Every access goes through the model's first array (the whole
 		// file conventionally; the Simple file in the content-aware

@@ -30,11 +30,6 @@ type Progress struct {
 	// content-aware one — the live write-class mix.
 	Writes [3]uint64
 
-	// SampleCycle is the cycle of the interval sampler's newest sample
-	// (InstallMetrics runs only; 0 before the first sample or without a
-	// sampler), correlating this frame with the exported series.
-	SampleCycle uint64
-
 	// Final marks the closing report Run emits after the last cycle; its
 	// totals equal the returned Stats.
 	Final bool
@@ -79,11 +74,6 @@ func (c *CPU) reportProgress(final bool) {
 			break
 		}
 		p.Writes[i] = f.Writes
-	}
-	if c.msampler != nil {
-		if sm, ok := c.msampler.Latest(); ok {
-			p.SampleCycle = sm.Cycle
-		}
 	}
 	c.progress(p)
 }

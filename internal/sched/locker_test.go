@@ -77,7 +77,7 @@ func TestSetTierAutoDetectsLockerAndPeerHit(t *testing.T) {
 	s.SetPeerPollInterval(time.Millisecond)
 
 	go func() {
-		time.Sleep(10 * time.Millisecond)
+		<-lt.denied                           // the caller is in the lease wait
 		lt.fakeTier.Store(key, "peer-result") // the peer finishes: blob lands
 	}()
 	v, prov, err := s.Do(key, "", true, func() (any, error) {
@@ -259,7 +259,7 @@ func TestUncacheableRunSkipsLocker(t *testing.T) {
 	}
 }
 
-func TestSetLockerOverridesAndClears(t *testing.T) {
+func TestPlainTierClearsLocker(t *testing.T) {
 	// A plain tier (no Locker) must leave the lease path disengaged even
 	// after a locking tier was attached before it.
 	lt := newLockingTier(0)
@@ -275,14 +275,5 @@ func TestSetLockerOverridesAndClears(t *testing.T) {
 	lt.fakeLocker.mu.Unlock()
 	if tries != 0 {
 		t.Errorf("lease consulted %d times after a plain tier replaced the locking one", tries)
-	}
-
-	// And SetLocker wires coordination separate from the tier.
-	s.SetLocker(lt.fakeLocker)
-	if _, _, err := s.Do(KeyOf("separate"), "", true, func() (any, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if lt.released.Load() != 1 {
-		t.Error("explicit SetLocker did not engage the lease path")
 	}
 }

@@ -7,8 +7,8 @@ import (
 // Progress is one live snapshot of an executing run, produced by the
 // run's own body (the simulator's progress hook) and enriched by the
 // scheduler before fan-out: the body fills the simulation-domain fields
-// (cycles, instructions, interval window, occupancies, write mix), the
-// scheduler's reporter stamps Target, the wall-clock fields, and the
+// (cycles, instructions, interval window, occupancies, write mix) and
+// Target, the scheduler's reporter stamps the wall-clock fields and the
 // ETA. Frames for one run are monotonic in Cycles and Insts.
 type Progress struct {
 	// Simulation-domain fields (set by the run's body).
@@ -37,8 +37,11 @@ type Progress struct {
 	// sees the run reach its end state.
 	Final bool `json:"final,omitempty"`
 
+	// Target is the run's known instruction budget (0 = unknown), set
+	// by the body.
+	Target uint64 `json:"target,omitempty"`
+
 	// Scheduler-stamped fields.
-	Target         uint64  `json:"target,omitempty"`          // known instruction budget (0 = unknown)
 	ElapsedSeconds float64 `json:"elapsed_seconds,omitempty"` // wall time since the sim started
 	InstsPerSec    float64 `json:"insts_per_sec,omitempty"`   // retirement rate over the whole run
 	ETASeconds     float64 `json:"eta_seconds,omitempty"`     // (target-insts)/rate; 0 when unknowable
@@ -82,7 +85,7 @@ func (s *Scheduler) SetProgressInterval(d time.Duration) {
 // body. It is called from the simulating goroutine only (the leader),
 // so its throttle state needs no lock; the observer and onProgress
 // callbacks must themselves be safe for concurrent use across runs.
-func (s *Scheduler) reporter(id uint64, target uint64, obs Observer, on ProgressFunc, simStart time.Time) ProgressFunc {
+func (s *Scheduler) reporter(id uint64, obs Observer, on ProgressFunc, simStart time.Time) ProgressFunc {
 	var last time.Time
 	return func(p Progress) {
 		now := time.Now()
@@ -92,9 +95,6 @@ func (s *Scheduler) reporter(id uint64, target uint64, obs Observer, on Progress
 			}
 		}
 		last = now
-		if p.Target == 0 {
-			p.Target = target
-		}
 		p.ElapsedSeconds = now.Sub(simStart).Seconds()
 		if p.ElapsedSeconds > 0 {
 			p.InstsPerSec = float64(p.Insts) / p.ElapsedSeconds

@@ -25,7 +25,6 @@
 package sched
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -76,8 +75,8 @@ const (
 	// Joined: an identical run was already in flight; this call waited
 	// for it and shared its result.
 	Joined
-	// DiskHit: the result came from the persistent tier (see SetTier) —
-	// computed by an earlier process or evicted from memory since.
+	// DiskHit: the result came from the persistent tier (see SetTier),
+	// computed by an earlier process or a peer sharing the store.
 	DiskHit
 	// Canceled: the request's context expired before a result was
 	// available (while queued for a worker slot, or while joined to an
@@ -137,7 +136,6 @@ type Stats struct {
 	DiskHits     uint64 // runs served from the persistent tier
 	PeerHits     uint64 // runs served by a peer process via the shared tier
 	Canceled     uint64 // runs abandoned by their context before a result
-	Evictions    uint64 // memory-cache entries evicted by the LRU bound
 	Errors       uint64 // simulations that returned an error (never cached)
 
 	QueueWait time.Duration // cumulative worker-slot wait over misses
@@ -283,12 +281,6 @@ type Scheduler struct {
 	cache    map[Key]*entry // completed, error-free runs
 	inflight map[Key]*entry
 
-	// LRU bookkeeping over cache: front = most recently used. cacheCap
-	// 0 means unbounded (the pre-eviction behaviour).
-	lru      *list.List
-	lruPos   map[Key]*list.Element
-	cacheCap int
-
 	tier   Tier   // persistent second-level cache; nil when not attached
 	locker Locker // cross-process singleflight; nil when not attached
 
@@ -331,8 +323,6 @@ func New(workers int) *Scheduler {
 		memo:     true,
 		cache:    make(map[Key]*entry),
 		inflight: make(map[Key]*entry),
-		lru:      list.New(),
-		lruPos:   make(map[Key]*list.Element),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.progressEvery.Store(int64(DefaultProgressInterval))
@@ -350,7 +340,6 @@ func New(workers int) *Scheduler {
 	s.reg.GaugeFunc("sched.disk_hits", snap(func(st Stats) float64 { return float64(st.DiskHits) }))
 	s.reg.GaugeFunc("sched.peer_hits", snap(func(st Stats) float64 { return float64(st.PeerHits) }))
 	s.reg.GaugeFunc("sched.canceled", snap(func(st Stats) float64 { return float64(st.Canceled) }))
-	s.reg.GaugeFunc("sched.evictions", snap(func(st Stats) float64 { return float64(st.Evictions) }))
 	s.reg.GaugeFunc("sched.errors", snap(func(st Stats) float64 { return float64(st.Errors) }))
 	s.reg.GaugeFunc("sched.queue_wait_ms", snap(func(st Stats) float64 { return float64(st.QueueWait) / float64(time.Millisecond) }))
 	s.reg.GaugeFunc("sched.sim_wall_ms", snap(func(st Stats) float64 { return float64(st.SimWall) / float64(time.Millisecond) }))
@@ -375,37 +364,16 @@ func (s *Scheduler) SetObserver(o Observer) {
 	s.mu.Unlock()
 }
 
-// Observed reports whether a lifecycle observer is attached. Callers
-// use it to skip progress-only work (instruction-budget computation,
-// hook installation) when nobody is watching.
-func (s *Scheduler) Observed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.obs != nil
-}
-
 // SetTier attaches (or, with nil, detaches) the persistent result tier.
 // Attach before submitting work; values already cached in memory are
 // not retroactively persisted. A tier that also implements Locker is
-// attached as the cross-process lease coordinator in the same call, so
-// N processes sharing one store directory never duplicate a simulation
-// — SetLocker afterwards overrides that default.
+// the cross-process lease coordinator too, so N processes sharing one
+// store directory never duplicate a simulation; any other tier (or
+// nil) turns the lease path off.
 func (s *Scheduler) SetTier(t Tier) {
 	s.mu.Lock()
 	s.tier = t
-	if l, ok := t.(Locker); ok {
-		s.locker = l
-	} else {
-		s.locker = nil
-	}
-	s.mu.Unlock()
-}
-
-// SetLocker attaches (or, with nil, detaches) the cross-process lease
-// coordinator, overriding the one SetTier derived from the tier.
-func (s *Scheduler) SetLocker(l Locker) {
-	s.mu.Lock()
-	s.locker = l
+	s.locker, _ = t.(Locker)
 	s.mu.Unlock()
 }
 
@@ -423,56 +391,6 @@ func (s *Scheduler) SetPeerPollInterval(d time.Duration) {
 		d = DefaultPeerPollInterval
 	}
 	s.peerPoll.Store(int64(d))
-}
-
-// SetCacheCap bounds the in-memory memo cache to n completed runs,
-// evicting least-recently-used entries beyond it (they remain
-// retrievable from the persistent tier, if one is attached). n <= 0
-// removes the bound.
-func (s *Scheduler) SetCacheCap(n int) {
-	s.mu.Lock()
-	s.cacheCap = n
-	s.evictOver()
-	s.mu.Unlock()
-}
-
-// cacheInsert stores a completed entry and applies the LRU bound.
-// Callers hold s.mu.
-func (s *Scheduler) cacheInsert(key Key, e *entry) {
-	if el, ok := s.lruPos[key]; ok {
-		s.lru.MoveToFront(el)
-		s.cache[key] = e
-		return
-	}
-	s.cache[key] = e
-	s.lruPos[key] = s.lru.PushFront(key)
-	s.evictOver()
-}
-
-// cacheTouch marks key most recently used. Callers hold s.mu.
-func (s *Scheduler) cacheTouch(key Key) {
-	if el, ok := s.lruPos[key]; ok {
-		s.lru.MoveToFront(el)
-	}
-}
-
-// evictOver drops least-recently-used cache entries beyond cacheCap.
-// Callers hold s.mu.
-func (s *Scheduler) evictOver() {
-	if s.cacheCap <= 0 {
-		return
-	}
-	for len(s.cache) > s.cacheCap {
-		el := s.lru.Back()
-		if el == nil {
-			return
-		}
-		key := el.Value.(Key)
-		s.lru.Remove(el)
-		delete(s.lruPos, key)
-		delete(s.cache, key)
-		s.stats.Evictions++
-	}
 }
 
 var (
@@ -568,15 +486,16 @@ func (s *Scheduler) Do(key Key, label string, cacheable bool, fn func() (any, er
 // fn must not call Do on the same scheduler (a saturated pool of
 // parent runs waiting on child runs would deadlock).
 func (s *Scheduler) DoCtx(ctx context.Context, key Key, label string, cacheable bool, fn func() (any, error)) (any, Provenance, error) {
-	return s.DoProgress(ctx, key, label, cacheable, 0, nil, func(ProgressFunc) (any, error) { return fn() })
+	return s.DoProgress(ctx, key, label, cacheable, nil, func(ProgressFunc) (any, error) { return fn() })
 }
 
 // DoProgress is DoCtx for runs that can report live progress. fn
 // receives a report function to call with in-flight Progress snapshots;
 // the scheduler stamps each forwarded frame with the wall-clock rate
-// and an ETA derived from target (the run's known dynamic-instruction
-// budget; 0 = unknown, frames then carry no ETA), throttles non-final
-// frames to one per SetProgressInterval, and fans the result out to the
+// and an ETA derived from the frame's Target (the run's known
+// dynamic-instruction budget, which only the body knows; 0 = unknown,
+// frames then carry no ETA), throttles non-final frames to one per
+// SetProgressInterval, and fans the result out to the
 // attached Observer (RunProgressed) and to onProgress. Both are
 // optional; when neither is attached fn receives a nil report and the
 // call is exactly DoCtx — callers guard their hook installation on
@@ -585,7 +504,7 @@ func (s *Scheduler) DoCtx(ctx context.Context, key Key, label string, cacheable 
 // Progress frames are leader-only: hits, disk hits, and joiners resolve
 // without frames (their provenance says why). onProgress runs on the
 // simulating goroutine and must return quickly.
-func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cacheable bool, target uint64, onProgress ProgressFunc, fn func(report ProgressFunc) (any, error)) (any, Provenance, error) {
+func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cacheable bool, onProgress ProgressFunc, fn func(report ProgressFunc) (any, error)) (any, Provenance, error) {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		// Dead on arrival: account for the request, touch nothing else.
@@ -612,7 +531,6 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 	if cacheable {
 		if e, ok := s.cache[key]; ok {
 			s.stats.Hits++
-			s.cacheTouch(key)
 			s.mu.Unlock()
 			p := Provenance{Outcome: Hit, Key: key}
 			if obs != nil {
@@ -671,7 +589,7 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 			e.val = v
 			s.mu.Lock()
 			delete(s.inflight, key)
-			s.cacheInsert(key, e)
+			s.cache[key] = e
 			s.stats.DiskHits++
 			s.mu.Unlock()
 			close(e.done)
@@ -734,7 +652,7 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 					e.val = v
 					s.mu.Lock()
 					delete(s.inflight, key)
-					s.cacheInsert(key, e)
+					s.cache[key] = e
 					s.stats.PeerHits++
 					s.stats.LeaseWait += leaseWait
 					s.mu.Unlock()
@@ -806,7 +724,7 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 	simStart := time.Now()
 	var report ProgressFunc
 	if obs != nil || onProgress != nil {
-		report = s.reporter(id, target, obs, onProgress, simStart)
+		report = s.reporter(id, obs, onProgress, simStart)
 	}
 	e.val, e.err = fn(report)
 	simWall := time.Since(simStart)
@@ -821,7 +739,7 @@ func (s *Scheduler) DoProgress(ctx context.Context, key Key, label string, cache
 	if cacheable {
 		delete(s.inflight, key)
 		if e.err == nil {
-			s.cacheInsert(key, e)
+			s.cache[key] = e
 		}
 	}
 	s.cond.Broadcast()

@@ -646,28 +646,3 @@ func TestTierDiskHitProvenance(t *testing.T) {
 		t.Errorf("stats = %+v, want 1 disk hit / 1 hit / 1 miss", st)
 	}
 }
-
-func TestCacheCapEvictsLRUIntoTier(t *testing.T) {
-	tier := newFakeTier()
-	s := New(2)
-	s.SetTier(tier)
-	s.SetCacheCap(2)
-	for i := 0; i < 3; i++ {
-		if _, _, err := s.Do(KeyOf("evict", i), "", true, func() (any, error) { return i, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.CacheEntries != 2 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want 2 cache entries and 1 eviction", st)
-	}
-	// The evicted (least recently used) entry comes back from the tier,
-	// not a re-simulation.
-	v, prov, err := s.Do(KeyOf("evict", 0), "", true, func() (any, error) {
-		t.Error("evicted run was re-simulated despite the tier holding it")
-		return nil, nil
-	})
-	if err != nil || v.(int) != 0 || prov.Outcome != DiskHit {
-		t.Fatalf("evicted reload: v=%v prov=%+v err=%v", v, prov, err)
-	}
-}

@@ -22,7 +22,6 @@ package serve
 
 import (
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -36,6 +35,7 @@ import (
 	"time"
 
 	"carf"
+	"carf/internal/energy"
 	"carf/internal/experiments"
 	"carf/internal/metrics"
 	"carf/internal/sched"
@@ -43,10 +43,9 @@ import (
 	"carf/internal/telemetry"
 )
 
-// kernelResult is the persisted shape of a daemon kernel run: the
-// measurement fields of carf.Result without its instrumentation
-// pointers (Series/Trace/Profile), whose types gob cannot encode. The
-// API never enables instrumentation, so nothing is lost.
+// kernelResult is the JSON body of a finished kernel job: the
+// measurement fields of carf.Result, rendered from the job's cached
+// "sim" run record (field order is the body's key order).
 type kernelResult struct {
 	Kernel       string
 	Organization string
@@ -72,28 +71,37 @@ type kernelResult struct {
 	RecoveryStalls uint64
 }
 
-func init() { gob.Register(kernelResult{}) }
-
-func toKernelResult(r carf.Result) kernelResult {
-	return kernelResult{
-		Kernel:            r.Kernel,
-		Organization:      string(r.Organization),
-		Cycles:            r.Cycles,
-		Instructions:      r.Instructions,
-		IPC:               r.IPC,
-		Branches:          r.Branches,
-		Mispredicts:       r.Mispredicts,
-		IntOperands:       r.IntOperands,
-		BypassedOperands:  r.BypassedOperands,
-		BypassRate:        r.BypassRate,
-		RegFileEnergy:     r.RegFileEnergy,
-		RegFileArea:       r.RegFileArea,
-		RegFileAccessTime: r.RegFileAccessTime,
-		ReadsByType:       r.ReadsByType,
-		WritesByType:      r.WritesByType,
-		AvgLiveLong:       r.AvgLiveLong,
-		RecoveryStalls:    r.RecoveryStalls,
+// kernelView renders a run record the way carf.RunCtx reports the same
+// run: register file energy, area and access time come from the
+// default technology model over the run's file activity.
+func kernelView(org string, r experiments.RunOut) kernelResult {
+	if org == "" {
+		org = string(carf.ContentAware)
 	}
+	st := r.Pstats
+	rep := energy.DefaultTech().Organization(r.Files)
+	v := kernelResult{
+		Kernel:            r.Kernel,
+		Organization:      org,
+		Cycles:            st.Cycles,
+		Instructions:      st.Instructions,
+		IPC:               st.IPC(),
+		Branches:          st.Branches,
+		Mispredicts:       st.Mispredicts,
+		IntOperands:       st.IntOperands,
+		BypassedOperands:  st.BypassedOperands,
+		BypassRate:        st.BypassRate(),
+		RegFileEnergy:     rep.TotalEnergy,
+		RegFileArea:       rep.TotalArea,
+		RegFileAccessTime: rep.WorstTime,
+		RecoveryStalls:    st.RecoveryStallCycles,
+	}
+	if r.Carf != nil {
+		v.ReadsByType = r.Carf.ReadsByType
+		v.WritesByType = r.Carf.WritesByType
+		v.AvgLiveLong = r.Carf.AvgLiveLong()
+	}
+	return v
 }
 
 // Options configures a Daemon.
@@ -587,72 +595,40 @@ func (d *Daemon) jobProgress(j *Job, label string, p sched.Progress) {
 	j.stream.Publish(JobStreamFrame{Type: "progress", ID: j.ID, Progress: jp})
 }
 
-// runJob is the real execution body: experiments through the
-// experiments engine, kernels through the scheduler (both memoized and
-// disk-tier-backed).
+// runJob is the real execution body: experiments and kernel runs both
+// go through the experiments engine, so a kernel job is the same "sim"
+// run a study makes — pooled, deduped, memoized and disk-tier-backed
+// under one key.
 func (d *Daemon) runJob(ctx context.Context, j *Job) (string, sched.Stats, error) {
 	tally := new(sched.Tally)
+	opt := experiments.Options{
+		Ctx:   ctx,
+		Scale: j.Spec.Scale,
+		Sched: d.sch,
+		Tally: tally,
+		OnProgress: func(label string, p sched.Progress) {
+			d.jobProgress(j, label, p)
+		},
+	}
 	switch j.Kind {
 	case "experiment":
-		r, err := experiments.Run(j.Spec.Experiment, experiments.Options{
-			Ctx:   ctx,
-			Scale: j.Spec.Scale,
-			Sched: d.sch,
-			Tally: tally,
-			OnProgress: func(label string, p sched.Progress) {
-				d.jobProgress(j, label, p)
-			},
-		})
+		r, err := experiments.Run(j.Spec.Experiment, opt)
 		if err != nil {
 			return "", tally.Stats(), err
 		}
 		return r.Render(), tally.Stats(), nil
 	case "kernel":
-		cfg := carf.Config{
-			Organization: carf.Organization(j.Spec.Organization),
-			DPlusN:       j.Spec.DPlusN,
-			ShortRegs:    j.Spec.ShortRegs,
-			LongRegs:     j.Spec.LongRegs,
-			Scale:        j.Spec.Scale,
+		if opt.Scale <= 0 {
+			opt.Scale = 1.0 // carf.Config's default, not the experiments' 0.25
 		}
-		// The run goes through the scheduler so it is pooled, deduped
-		// against identical submissions, memoized, and persisted. No
-		// instrumentation is enabled, so the cached carf.Result is pure
-		// data.
-		key := sched.KeyOf("serve-kernel", j.Spec.Kernel, cfg)
-		label := "serve/" + j.Spec.Kernel
-		v, prov, err := d.sch.DoProgress(ctx, key, label, true, 0,
-			func(p sched.Progress) { d.jobProgress(j, label, p) },
-			func(report sched.ProgressFunc) (any, error) {
-				var on func(carf.Progress)
-				if report != nil {
-					// carf computes the kernel's own target; forward it so
-					// the scheduler's reporter keeps it (it only stamps a
-					// target when the frame has none).
-					on = func(cp carf.Progress) {
-						report(sched.Progress{
-							Cycles:      cp.Cycles,
-							Insts:       cp.Instructions,
-							Target:      cp.Target,
-							IntervalIPC: cp.IntervalIPC,
-							Final:       cp.Final,
-						})
-					}
-				}
-				r, err := carf.RunCtxProgress(ctx, j.Spec.Kernel, cfg, on)
-				if err != nil {
-					return nil, err
-				}
-				return toKernelResult(r), nil
-			})
-		tally.Record(prov, err)
+		org := experiments.Org{Name: j.Spec.Organization, DPlusN: j.Spec.DPlusN, ShortRegs: j.Spec.ShortRegs, LongRegs: j.Spec.LongRegs}
+		r, err := experiments.RunKernel(j.Spec.Kernel, org, opt)
 		if err != nil {
 			return "", tally.Stats(), err
 		}
-		res := v.(kernelResult)
-		b, merr := json.MarshalIndent(res, "", "  ")
-		if merr != nil {
-			return "", tally.Stats(), merr
+		b, err := json.MarshalIndent(kernelView(j.Spec.Organization, r), "", "  ")
+		if err != nil {
+			return "", tally.Stats(), err
 		}
 		return string(b) + "\n", tally.Stats(), nil
 	default:

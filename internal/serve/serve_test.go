@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"carf"
+	"carf/internal/experiments"
 	"carf/internal/sched"
 	"carf/internal/store"
 )
@@ -468,7 +470,7 @@ func TestRealExperimentAcrossRestart(t *testing.T) {
 }
 
 // TestKernelJobAcrossRestart covers the kernel-submission path end to
-// end, including persistence of carf.Result.
+// end, including persistence of the run record behind the result.
 func TestKernelJobAcrossRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
@@ -518,5 +520,96 @@ func TestKernelJobAcrossRestart(t *testing.T) {
 	}
 	if res["IPC"].(float64) <= 0 {
 		t.Fatalf("kernel result IPC %v", res["IPC"])
+	}
+}
+
+// TestKernelJobMatchesRunCtx: a kernel job's result body is byte for
+// byte the measurement fields of carf.RunCtx for the same spec, for
+// every organization, and a kernel job is the same "sim" run a study
+// makes — an experiment run beforehand on the same scheduler serves it
+// as a memory hit.
+func TestKernelJobMatchesRunCtx(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	const scale = 0.04
+	sch := sched.New(2)
+	if _, err := experiments.Run("table2", experiments.Options{Scale: scale, Sched: sch}); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestDaemon(t, Options{Scheduler: sch, JobTimeout: 2 * time.Minute})
+
+	for _, tc := range []struct {
+		spec    SubmitRequest
+		studied bool // table2 already ran it on baseline and default content-aware
+	}{
+		{SubmitRequest{Kernel: "crc64"}, true},
+		{SubmitRequest{Kernel: "crc64", Organization: "baseline"}, true},
+		{SubmitRequest{Kernel: "crc64", Organization: "unlimited"}, false},
+		{SubmitRequest{Kernel: "crc64", Organization: "content-aware"}, true},
+		{SubmitRequest{Kernel: "crc64", Organization: "content-aware-cam"}, false},
+		{SubmitRequest{Kernel: "hashprobe", Organization: "content-aware", DPlusN: 24, ShortRegs: 16, LongRegs: 64}, false},
+	} {
+		tc.spec.Scale = scale
+		body, err := json.Marshal(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := decode[map[string]string](t, submit(t, ts, "c1", string(body)))
+		j := waitStatus(t, ts, acc["id"], StatusDone)
+		r, err := ts.Client().Get(ts.URL + "/api/v1/runs/" + acc["id"] + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(r.Body)
+		r.Body.Close()
+
+		ref, err := carf.RunCtx(context.Background(), tc.spec.Kernel, carf.Config{
+			Organization: carf.Organization(tc.spec.Organization),
+			DPlusN:       tc.spec.DPlusN,
+			ShortRegs:    tc.spec.ShortRegs,
+			LongRegs:     tc.spec.LongRegs,
+			Scale:        tc.spec.Scale,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(measurements(ref), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want)+"\n" {
+			t.Errorf("%s: kernel job body differs from carf.RunCtx:\n--- job\n%s\n--- RunCtx\n%s", body, got, want)
+		}
+		if tc.studied && (j.Sched.Hits != 1 || j.Sched.Misses != 0) {
+			t.Errorf("%s: a run table2 already made was not a memory hit: %+v", body, j.Sched)
+		}
+		if !tc.studied && j.Sched.Misses != 1 {
+			t.Errorf("%s: want one simulation, got %+v", body, j.Sched)
+		}
+	}
+}
+
+// measurements is the kernel-job view of a carf.Result: every field
+// but the instrumentation pointers.
+func measurements(r carf.Result) kernelResult {
+	return kernelResult{
+		Kernel:            r.Kernel,
+		Organization:      string(r.Organization),
+		Cycles:            r.Cycles,
+		Instructions:      r.Instructions,
+		IPC:               r.IPC,
+		Branches:          r.Branches,
+		Mispredicts:       r.Mispredicts,
+		IntOperands:       r.IntOperands,
+		BypassedOperands:  r.BypassedOperands,
+		BypassRate:        r.BypassRate,
+		RegFileEnergy:     r.RegFileEnergy,
+		RegFileArea:       r.RegFileArea,
+		RegFileAccessTime: r.RegFileAccessTime,
+		ReadsByType:       r.ReadsByType,
+		WritesByType:      r.WritesByType,
+		AvgLiveLong:       r.AvgLiveLong,
+		RecoveryStalls:    r.RecoveryStalls,
 	}
 }

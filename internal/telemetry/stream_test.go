@@ -53,13 +53,13 @@ func TestRunStreamLiveThenTerminal(t *testing.T) {
 	release := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := s.DoProgress(context.Background(), sched.KeyOf("stream-live"), "sim/qsort/carf", true, 1000, nil,
+		_, _, err := s.DoProgress(context.Background(), sched.KeyOf("stream-live"), "sim/qsort/carf", true, nil,
 			func(report sched.ProgressFunc) (any, error) {
-				report(sched.Progress{Cycles: 1000, Insts: 250, IntervalCycles: 1000, IntervalInsts: 250, IntervalIPC: 0.25})
-				report(sched.Progress{Cycles: 2000, Insts: 500, IntervalCycles: 1000, IntervalInsts: 250, IntervalIPC: 0.25})
+				report(sched.Progress{Cycles: 1000, Insts: 250, IntervalCycles: 1000, IntervalInsts: 250, IntervalIPC: 0.25, Target: 1000})
+				report(sched.Progress{Cycles: 2000, Insts: 500, IntervalCycles: 1000, IntervalInsts: 250, IntervalIPC: 0.25, Target: 1000})
 				close(reported)
 				<-release
-				report(sched.Progress{Cycles: 4000, Insts: 1000, Final: true})
+				report(sched.Progress{Cycles: 4000, Insts: 1000, Target: 1000, Final: true})
 				return 42, nil
 			})
 		done <- err
@@ -95,7 +95,7 @@ func TestRunStreamLiveThenTerminal(t *testing.T) {
 			t.Errorf("replay frame %d interval payload = %+v", i, f.Progress)
 		}
 		if f.Progress.Target != 1000 {
-			t.Errorf("replay frame %d target = %d, want the stamped 1000", i, f.Progress.Target)
+			t.Errorf("replay frame %d target = %d, want the body's 1000", i, f.Progress.Target)
 		}
 	}
 	if replayed[1].Progress.Insts <= replayed[0].Progress.Insts {
@@ -132,7 +132,7 @@ func TestRunStreamFinishedReplay(t *testing.T) {
 	srv := httptest.NewServer(sv.Handler())
 	defer srv.Close()
 
-	if _, _, err := s.DoProgress(context.Background(), sched.KeyOf("stream-done"), "sim/crc64/carf", true, 0, nil,
+	if _, _, err := s.DoProgress(context.Background(), sched.KeyOf("stream-done"), "sim/crc64/carf", true, nil,
 		func(report sched.ProgressFunc) (any, error) {
 			report(sched.Progress{Cycles: 10, Insts: 5})
 			report(sched.Progress{Cycles: 20, Insts: 10, Final: true})
