@@ -47,8 +47,9 @@ func CPIStackStudy(opt Options) (Result, error) {
 	// One scheduler job per (kernel, org) cell; a profiled run carries a
 	// different instrumentation cost than a plain one, so "cpistack" runs
 	// get their own key kind and never alias the registry's plain runs.
-	// The cached profile.CPIStack is a plain value: each cell gets its
-	// own copy and the slot-identity check happens inside the job.
+	// The job returns the profiler's profile.CPIStack, a plain value of
+	// slot counts: each cell gets its own copy and the slot-identity
+	// check happens inside the job.
 	cfg := pipeline.DefaultConfig()
 	cells := make([]profile.CPIStack, len(cpiKernels)*len(orgs))
 	err := sched.ForEach(len(cells), func(idx int) error {
@@ -74,11 +75,10 @@ func CPIStackStudy(opt Options) (Result, error) {
 			return prof.Stack, nil
 		})
 		opt.Tally.Record(prov, err)
-		if err != nil {
-			return err
+		if err == nil {
+			cells[idx], err = as[profile.CPIStack](v, key)
 		}
-		cells[idx] = v.(profile.CPIStack)
-		return nil
+		return err
 	})
 	if err != nil {
 		return Result{}, err

@@ -14,6 +14,7 @@ import (
 
 	"carf/internal/core"
 	"carf/internal/pipeline"
+	"carf/internal/profile"
 	"carf/internal/regfile"
 	"carf/internal/sched"
 	"carf/internal/stats"
@@ -21,18 +22,36 @@ import (
 )
 
 // StoreSchema versions the persisted encoding of cached run results
-// for the on-disk tier (internal/store). Bump it whenever RunOut's
-// shape, the statistics it carries, or the simulation's observable
+// for the on-disk tier (internal/store). Bump it whenever the shape of
+// a run family's value (RunOut and the instrumented families registered
+// below), the statistics it carries, or the simulation's observable
 // behaviour changes — a stale blob under the old schema is then simply
 // never found, rather than wrongly served. Run keys digest
 // pipeline.Config, so removing or adding a Config field bumps it too.
-const StoreSchema = "carf-run/v2"
+const StoreSchema = "carf-run/v3"
 
 func init() {
-	// RunOut crosses the store's any-envelope, so its concrete type must
-	// be registered for gob. Named here once; values containing only
-	// exported scalar/slice fields round-trip exactly.
+	// Every run family's value crosses the store's any-envelope, so its
+	// concrete type must be registered for gob. Named here once; values
+	// containing only exported scalar/slice fields round-trip exactly.
 	gob.Register(RunOut{})
+	gob.Register(OracleOut{})
+	gob.Register(PhasesOut{})
+	gob.Register(profile.CPIStack{})
+	gob.Register(FaultOut{})
+	gob.Register(MemlocOut{})
+	gob.Register(SMTOut{})
+}
+
+// as returns a scheduler value as its run family's type. A store blob
+// decodes to whatever type it was written as, so a blob found under a
+// foreign key fails the experiment with an error instead of a panic.
+func as[T any](v any, key sched.Key) (T, error) {
+	t, ok := v.(T)
+	if !ok {
+		return t, fmt.Errorf("experiments: run %s holds a %T, want %T", key.Short(), v, t)
+	}
+	return t, nil
 }
 
 // Options configures an experiment run.
@@ -429,7 +448,8 @@ func runSim(kernel string, build func() (workload.Kernel, error), spec modelSpec
 	if opt.OnProgress != nil {
 		onProgress = func(p sched.Progress) { opt.OnProgress(label, p) }
 	}
-	v, prov, err := opt.Sched.DoProgress(opt.Ctx, runKey("sim", opt, kernel, spec.id, cfg), label, true, onProgress,
+	key := runKey("sim", opt, kernel, spec.id, cfg)
+	v, prov, err := opt.Sched.DoProgress(opt.Ctx, key, label, true, onProgress,
 		func(report sched.ProgressFunc) (any, error) {
 			k, err := build()
 			if err != nil {
@@ -441,7 +461,7 @@ func runSim(kernel string, build func() (workload.Kernel, error), spec modelSpec
 	if err != nil {
 		return RunOut{}, err
 	}
-	return v.(RunOut), nil
+	return as[RunOut](v, key)
 }
 
 // runSuite simulates every kernel of a suite on fresh models through

@@ -47,18 +47,49 @@ func faultParams() core.Params {
 	return p
 }
 
+// FaultOut is one campaign run's harden.Outcome as a plain value: its
+// structured error is flattened to the text carfsim prints, so the
+// outcome can be persisted.
+type FaultOut struct {
+	Fault      harden.Fault
+	Injected   bool
+	InjectedAt uint64
+	Detail     string
+	Detected   bool
+	Detector   string
+	DetectedAt uint64
+	Err        string // the raised error's text, "" when none was raised
+}
+
+// Outcome returns o as a harden.Outcome whose Err carries o.Err's text.
+func (o FaultOut) Outcome() harden.Outcome {
+	out := harden.Outcome{
+		Fault: o.Fault, Injected: o.Injected, InjectedAt: o.InjectedAt, Detail: o.Detail,
+		Detected: o.Detected, Detector: o.Detector, DetectedAt: o.DetectedAt,
+	}
+	if o.Err != "" {
+		out.Err = errors.New(o.Err)
+	}
+	return out
+}
+
 // RunFaultInjection runs one seeded injection against kernel (at the
 // given scale) and classifies the outcome. The returned error reports
 // infrastructure failures (unknown kernel, invalid config) — a detected
-// fault is a success and lands in Outcome.Err instead. The run goes
-// through the global scheduler; the fault descriptor and every checker
-// knob are part of the memoization key, so a checked/injected run can
-// never be served the result of a clean one (or vice versa).
+// fault is a success and lands in Outcome.Err instead, as the text of
+// the error the checker raised. The run goes through the global
+// scheduler; the fault descriptor and every checker knob are part of
+// the memoization key, so a checked/injected run can never be served
+// the result of a clean one (or vice versa).
 func RunFaultInjection(kernel string, scale float64, f harden.Fault) (harden.Outcome, error) {
-	return runFaultInjection(context.Background(), sched.Global(), nil, kernel, scale, f)
+	o, err := runFaultInjection(context.Background(), sched.Global(), nil, kernel, scale, f)
+	if err != nil {
+		return harden.Outcome{}, err
+	}
+	return o.Outcome(), nil
 }
 
-func runFaultInjection(ctx context.Context, s *sched.Scheduler, tally *sched.Tally, kernel string, scale float64, f harden.Fault) (harden.Outcome, error) {
+func runFaultInjection(ctx context.Context, s *sched.Scheduler, tally *sched.Tally, kernel string, scale float64, f harden.Fault) (FaultOut, error) {
 	cfg := pipeline.DefaultConfig()
 	cfg.Harden = faultHardenOptions()
 	p := faultParams()
@@ -69,30 +100,36 @@ func runFaultInjection(ctx context.Context, s *sched.Scheduler, tally *sched.Tal
 	})
 	tally.Record(prov, err)
 	if err != nil {
-		return harden.Outcome{}, err
+		return FaultOut{}, err
 	}
-	return v.(harden.Outcome), nil
+	return as[FaultOut](v, key)
 }
 
 // injectOnce is the scheduler-job body of one seeded campaign run.
-func injectOnce(kernel string, scale float64, cfg pipeline.Config, p core.Params, f harden.Fault) (harden.Outcome, error) {
+func injectOnce(kernel string, scale float64, cfg pipeline.Config, p core.Params, f harden.Fault) (FaultOut, error) {
 	k, err := workload.ByName(kernel, scale)
 	if err != nil {
-		return harden.Outcome{}, err
+		return FaultOut{}, err
 	}
 	cpu, err := pipeline.NewChecked(cfg, k.Prog, core.New(p))
 	if err != nil {
-		return harden.Outcome{}, err
+		return FaultOut{}, err
 	}
 	cpu.ScheduleFault(f)
 	st, runErr := cpu.Run()
 
 	outs := cpu.Injections()
 	if len(outs) == 0 {
-		return harden.Outcome{}, fmt.Errorf("experiments: scheduled fault vanished (%v)", f)
+		return FaultOut{}, fmt.Errorf("experiments: scheduled fault vanished (%v)", f)
 	}
-	out := outs[0]
-	out.Err = runErr
+	in := outs[0]
+	out := FaultOut{
+		Fault: in.Fault, Injected: in.Injected, InjectedAt: in.InjectedAt, Detail: in.Detail,
+		Detected: in.Detected, Detector: in.Detector, DetectedAt: in.DetectedAt,
+	}
+	if runErr != nil {
+		out.Err = runErr.Error()
+	}
 
 	var div *harden.DivergenceError
 	var inv *harden.InvariantError
@@ -138,7 +175,7 @@ func Faults(opt Options) (Result, error) {
 			jobs = append(jobs, job{ci, si})
 		}
 	}
-	outs := make([]harden.Outcome, len(jobs))
+	outs := make([]FaultOut, len(jobs))
 	if err := sched.ForEach(len(jobs), func(i int) error {
 		var err error
 		outs[i], err = runFaultInjection(opt.Ctx, opt.Sched, opt.Tally, faultKernel, opt.Scale, harden.Fault{
@@ -159,7 +196,7 @@ func Faults(opt Options) (Result, error) {
 		var injected, detected, lockstep, invariant, readcheck, other int
 		var latSum, latN float64
 		for si := range faultSeeds {
-			o := outs[ci*len(faultSeeds)+si]
+			o := outs[ci*len(faultSeeds)+si].Outcome()
 			if o.Injected {
 				injected++
 			}

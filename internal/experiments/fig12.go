@@ -10,46 +10,55 @@ import (
 	"carf/internal/workload"
 )
 
+// OracleOut is one kernel's oracle-sampled run as Figures 1 and 2
+// render it: the live-value bucket counts of each requested d, in
+// request order.
+type OracleOut struct {
+	Counts []oracle.Counts
+}
+
 // oracleSuite runs every kernel of a suite on the baseline machine with
-// one live-value analyzer per requested d, merged across kernels. Each
-// kernel's sampled run goes through the scheduler keyed on (kernel,
-// scale, d-list, sampling period), so fig1 and fig2 share runs when
-// they request the same analysis; the per-kernel analyzers in the
-// cache are immutable — Merge only reads its argument — and the merge
+// one live-value analyzer per requested d and returns each d's counts
+// merged across kernels. Each kernel's sampled run goes through the
+// scheduler keyed on (kernel, scale, d-list, sampling period), so fig1
+// and fig2 share runs when they request the same analysis; the merge
 // happens in suite order after every run completes.
-func oracleSuite(kernels []workload.Kernel, ds []int, opt Options) ([]*oracle.Analyzer, error) {
-	perKernel := make([][]*oracle.Analyzer, len(kernels))
+func oracleSuite(kernels []workload.Kernel, ds []int, opt Options) ([]oracle.Counts, error) {
+	perKernel := make([]OracleOut, len(kernels))
 	cfg := pipeline.DefaultConfig()
 	err := sched.ForEach(len(kernels), func(i int) error {
 		k := kernels[i]
 		key := runKey("oracle", opt, k.Name, "baseline", cfg, ds, opt.SamplePeriod)
 		v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("oracle", k.Name, "baseline"), true, func() (any, error) {
-			analyzers := make([]*oracle.Analyzer, len(ds))
 			local := make(oracle.Fanout, len(ds))
 			for j, d := range ds {
-				analyzers[j] = oracle.NewAnalyzer(d)
-				local[j] = analyzers[j]
+				local[j] = oracle.NewAnalyzer(d)
 			}
 			if _, err := simulate(opt, k, baselineSpec(), cfg, local, opt.SamplePeriod, nil); err != nil {
 				return nil, err
 			}
-			return analyzers, nil
+			out := OracleOut{Counts: make([]oracle.Counts, len(ds))}
+			for j, a := range local {
+				out.Counts[j] = a.Counts()
+			}
+			return out, nil
 		})
 		opt.Tally.Record(prov, err)
-		if err != nil {
-			return err
+		if err == nil {
+			perKernel[i], err = as[OracleOut](v, key)
 		}
-		perKernel[i] = v.([]*oracle.Analyzer)
-		return nil
+		if err == nil && len(perKernel[i].Counts) != len(ds) {
+			err = fmt.Errorf("experiments: run %s holds %d oracle counts, want %d", key.Short(), len(perKernel[i].Counts), len(ds))
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	merged := make([]*oracle.Analyzer, len(ds))
-	for j, d := range ds {
-		merged[j] = oracle.NewAnalyzer(d)
+	merged := make([]oracle.Counts, len(ds))
+	for j := range ds {
 		for i := range kernels {
-			merged[j].Merge(perKernel[i][j])
+			merged[j].Merge(perKernel[i].Counts[j])
 		}
 	}
 	return merged, nil

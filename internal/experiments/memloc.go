@@ -13,6 +13,13 @@ import (
 // memWindow is the recent-access window used for the stream study.
 const memWindow = 64
 
+// MemlocOut is one kernel's memory-traffic analysis as the memloc
+// exhibit renders it: the address and data stream counts of each d, in
+// the exhibit's d order.
+type MemlocOut struct {
+	Addr, Data []oracle.StreamCounts
+}
+
 // Memloc quantifies the §6 memory-hierarchy direction: how much partial
 // value locality exists in the *memory traffic* — effective addresses
 // and transferred data — measured as the fraction of accesses whose high
@@ -20,19 +27,6 @@ const memWindow = 64
 // functional execution, so it runs on the golden-model VM.
 func Memloc(opt Options) (Result, error) {
 	ds := []int{8, 16, 24}
-	type streams struct {
-		addr []*oracle.StreamAnalyzer
-		data []*oracle.StreamAnalyzer
-	}
-	newStreams := func() streams {
-		var s streams
-		for _, d := range ds {
-			s.addr = append(s.addr, oracle.NewStreamAnalyzer(d, memWindow))
-			s.data = append(s.data, oracle.NewStreamAnalyzer(d, memWindow))
-		}
-		return s
-	}
-
 	suites := []struct {
 		label   string
 		kernels []workload.Kernel
@@ -47,14 +41,18 @@ func Memloc(opt Options) (Result, error) {
 	}
 	for _, suite := range suites {
 		// One scheduler job per kernel, keyed on the analysis inputs
-		// (functional execution only — no pipeline configuration). The
-		// cached streams are read-only; Merge copies their sums out.
-		perKernel := make([]streams, len(suite.kernels))
+		// (functional execution only — no pipeline configuration).
+		perKernel := make([]MemlocOut, len(suite.kernels))
 		err := sched.ForEach(len(suite.kernels), func(i int) error {
 			k := suite.kernels[i]
 			key := sched.KeyOf("memloc", k.Name, opt.Scale, ds, memWindow)
 			v, prov, err := opt.Sched.DoCtx(opt.Ctx, key, runLabel("memloc", k.Name, "vm"), true, func() (any, error) {
-				local := newStreams()
+				addr := make([]*oracle.StreamAnalyzer, len(ds))
+				data := make([]*oracle.StreamAnalyzer, len(ds))
+				for j, d := range ds {
+					addr[j] = oracle.NewStreamAnalyzer(d, memWindow)
+					data[j] = oracle.NewStreamAnalyzer(d, memWindow)
+				}
 				m := vm.New(k.Prog)
 				for !m.Halted {
 					_, eff, err := m.Step()
@@ -69,34 +67,41 @@ func Memloc(opt Options) (Result, error) {
 						value = eff.StoreVal
 					}
 					for j := range ds {
-						local.addr[j].Note(eff.Addr)
-						local.data[j].Note(value)
+						addr[j].Note(eff.Addr)
+						data[j].Note(value)
 					}
 				}
-				return local, nil
+				out := MemlocOut{Addr: make([]oracle.StreamCounts, len(ds)), Data: make([]oracle.StreamCounts, len(ds))}
+				for j := range ds {
+					out.Addr[j], out.Data[j] = addr[j].Counts(), data[j].Counts()
+				}
+				return out, nil
 			})
 			opt.Tally.Record(prov, err)
-			if err != nil {
-				return err
+			if err == nil {
+				perKernel[i], err = as[MemlocOut](v, key)
 			}
-			perKernel[i] = v.(streams)
-			return nil
+			if err == nil && (len(perKernel[i].Addr) != len(ds) || len(perKernel[i].Data) != len(ds)) {
+				err = fmt.Errorf("experiments: run %s holds %d/%d stream counts, want %d", key.Short(),
+					len(perKernel[i].Addr), len(perKernel[i].Data), len(ds))
+			}
+			return err
 		})
 		if err != nil {
 			return Result{}, err
 		}
-		merged := newStreams()
+		merged := MemlocOut{Addr: make([]oracle.StreamCounts, len(ds)), Data: make([]oracle.StreamCounts, len(ds))}
 		for i := range suite.kernels {
 			for j := range ds {
-				merged.addr[j].Merge(perKernel[i].addr[j])
-				merged.data[j].Merge(perKernel[i].data[j])
+				merged.Addr[j].Merge(perKernel[i].Addr[j])
+				merged.Data[j].Merge(perKernel[i].Data[j])
 			}
 		}
 		addrRow := []string{suite.label, "addresses"}
 		dataRow := []string{suite.label, "data"}
 		for j := range ds {
-			addrRow = append(addrRow, stats.Pct(merged.addr[j].Coverage()))
-			dataRow = append(dataRow, stats.Pct(merged.data[j].Coverage()))
+			addrRow = append(addrRow, stats.Pct(merged.Addr[j].Coverage()))
+			dataRow = append(dataRow, stats.Pct(merged.Data[j].Coverage()))
 		}
 		tb.Rows = append(tb.Rows, addrRow, dataRow)
 	}

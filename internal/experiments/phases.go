@@ -17,6 +17,13 @@ import (
 // that each interval spans many instructions.
 const phasesInterval = 1000
 
+// PhasesOut is one kernel's metric-sampled run as the phases exhibit
+// renders it: the interval series it summarizes and the run's IPC.
+type PhasesOut struct {
+	IPC, ShortOcc, LongOcc []float64 // per-interval samples
+	RunIPC                 float64
+}
+
 // Phases runs the integer suite on the content-aware organization with
 // the interval metric sampler attached and reports phase variance —
 // the spread of interval IPC and of Short/Long sub-file occupancy over
@@ -26,17 +33,11 @@ const phasesInterval = 1000
 // d-bit similarity test changes its hit rate.
 func Phases(opt Options) (Result, error) {
 	kernels := workload.IntSuite(opt.Scale)
-	type out struct {
-		kernel string
-		series metrics.TimeSeries
-		ipc    float64
-	}
 	// Metric-sampled runs are memoized like plain ones; the sampling
-	// interval is part of the key, and the cached series is read-only
-	// (Column and Summarize never mutate it).
+	// interval is part of the key.
 	spec := carfSpec(core.DefaultParams())
 	cfg := pipeline.DefaultConfig()
-	outs := make([]out, len(kernels))
+	outs := make([]PhasesOut, len(kernels))
 	err := sched.ForEach(len(kernels), func(i int) error {
 		k := kernels[i]
 		key := runKey("phases", opt, k.Name, spec.id, cfg, phasesInterval)
@@ -50,14 +51,19 @@ func Phases(opt Options) (Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", k.Name, err)
 			}
-			return out{kernel: k.Name, series: sampler.Series(), ipc: st.IPC()}, nil
+			series := sampler.Series()
+			return PhasesOut{
+				IPC:      series.Column("pipeline.ipc"),
+				ShortOcc: series.Column("core.short_occupancy"),
+				LongOcc:  series.Column("core.long_occupancy"),
+				RunIPC:   st.IPC(),
+			}, nil
 		})
 		opt.Tally.Record(prov, err)
-		if err != nil {
-			return err
+		if err == nil {
+			outs[i], err = as[PhasesOut](v, key)
 		}
-		outs[i] = v.(out)
-		return nil
+		return err
 	})
 	if err != nil {
 		return Result{}, err
@@ -72,21 +78,21 @@ func Phases(opt Options) (Result, error) {
 		Title:  "Sub-file occupancy over time (content-aware)",
 		Header: []string{"kernel", "short mean", "short max", "long mean", "long stddev", "long max"},
 	}
-	for _, o := range outs {
-		ipc := metrics.Summarize(o.series.Column("pipeline.ipc"))
+	for i, o := range outs {
+		ipc := metrics.Summarize(o.IPC)
 		cv := 0.0
 		if ipc.Mean != 0 {
 			cv = ipc.Stddev / ipc.Mean
 		}
-		ipcT.AddRow(o.kernel,
+		ipcT.AddRow(kernels[i].Name,
 			fmt.Sprintf("%d", ipc.N),
 			stats.F3(ipc.Mean), stats.F3(ipc.Stddev),
 			stats.F3(ipc.Min), stats.F3(ipc.Max),
-			stats.Pct(cv), stats.F3(o.ipc))
+			stats.Pct(cv), stats.F3(o.RunIPC))
 
-		short := metrics.Summarize(o.series.Column("core.short_occupancy"))
-		long := metrics.Summarize(o.series.Column("core.long_occupancy"))
-		occT.AddRow(o.kernel,
+		short := metrics.Summarize(o.ShortOcc)
+		long := metrics.Summarize(o.LongOcc)
+		occT.AddRow(kernels[i].Name,
 			stats.F3(short.Mean), fmt.Sprintf("%.0f", short.Max),
 			stats.F3(long.Mean), stats.F3(long.Stddev), fmt.Sprintf("%.0f", long.Max))
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"carf/internal/core"
@@ -10,18 +12,34 @@ import (
 	"carf/internal/workload"
 )
 
-// smtOut is one two-thread simulation's harvest: per-thread stats plus
-// the shared file's occupancy, captured inside the scheduler job so the
-// cached value is a plain immutable snapshot.
-type smtOut struct {
-	sts         [2]pipeline.Stats
-	avgLiveLong float64
+// SMTOut is one two-thread simulation's harvest: per-thread stats plus
+// the shared file's average live-long count, captured inside the
+// scheduler job so the cached value is a plain immutable snapshot.
+type SMTOut struct {
+	Stats       [2]pipeline.Stats
+	AvgLiveLong float64
+}
+
+// MarshalBinary encodes o as its fixed-width fields in declaration
+// order, so gob carries SMTOut as one opaque value.
+func (o SMTOut) MarshalBinary() ([]byte, error) {
+	var b bytes.Buffer
+	err := binary.Write(&b, binary.LittleEndian, o)
+	return b.Bytes(), err
+}
+
+// UnmarshalBinary decodes what MarshalBinary encoded.
+func (o *SMTOut) UnmarshalBinary(b []byte) error {
+	if len(b) != binary.Size(o) {
+		return fmt.Errorf("experiments: SMT run encoding is %d bytes, want %d", len(b), binary.Size(o))
+	}
+	return binary.Read(bytes.NewReader(b), binary.LittleEndian, o)
 }
 
 // runSMT simulates kernels a and b sharing one content-aware file built
 // from p under the given thread-priority policy, pooled and memoized
 // like every other run (the policy and file parameters key the cache).
-func runSMT(a, b workload.Kernel, p core.Params, pol pipeline.SMTPolicy, opt Options) (smtOut, error) {
+func runSMT(a, b workload.Kernel, p core.Params, pol pipeline.SMTPolicy, opt Options) (SMTOut, error) {
 	cfg := pipeline.DefaultConfig()
 	key := runKey("smt", opt, a.Name+"+"+b.Name, fmt.Sprintf("carf%+v", p), cfg, pol)
 	label := runLabel("smt", a.Name+"+"+b.Name, fmt.Sprintf("policy-%v", pol))
@@ -38,13 +56,13 @@ func runSMT(a, b workload.Kernel, p core.Params, pol pipeline.SMTPolicy, opt Opt
 				return nil, fmt.Errorf("smt %s (policy %s): result %#x, want %#x", k.Name, pol, got, k.Expected)
 			}
 		}
-		return smtOut{sts: sts, avgLiveLong: model.Stats().AvgLiveLong()}, nil
+		return SMTOut{Stats: sts, AvgLiveLong: model.Stats().AvgLiveLong()}, nil
 	})
 	opt.Tally.Record(prov, err)
 	if err != nil {
-		return smtOut{}, err
+		return SMTOut{}, err
 	}
-	return v.(smtOut), nil
+	return as[SMTOut](v, key)
 }
 
 // smtPolicyStudy compares the §6 thread-priority policies on a
@@ -71,9 +89,9 @@ func smtPolicyStudy(opt Options) (stats.Table, error) {
 			return stats.Table{}, err
 		}
 		tb.AddRow(pol.String(),
-			stats.F3(o.sts[0].IPC()+o.sts[1].IPC()),
-			fmt.Sprintf("%d", o.sts[0].RecoveryStallCycles+o.sts[1].RecoveryStallCycles),
-			fmt.Sprintf("%d", o.sts[0].LongStallCycles+o.sts[1].LongStallCycles))
+			stats.F3(o.Stats[0].IPC()+o.Stats[1].IPC()),
+			fmt.Sprintf("%d", o.Stats[0].RecoveryStallCycles+o.Stats[1].RecoveryStallCycles),
+			fmt.Sprintf("%d", o.Stats[0].LongStallCycles+o.Stats[1].LongStallCycles))
 	}
 	tb.AddNote("the long-aware policy throttles the thread hoarding Long entries when the shared file runs low")
 	return tb, nil
@@ -109,13 +127,13 @@ func smtPair(a, b string, opt Options) ([]string, error) {
 
 	// Per-thread IPC is measured over each thread's own active cycles,
 	// so a short thread draining early does not count as idle loss.
-	combined := o.sts[0].IPC() + o.sts[1].IPC()
+	combined := o.Stats[0].IPC() + o.Stats[1].IPC()
 	soloSum := soloA.Pstats.IPC() + soloB.Pstats.IPC()
 	return []string{
 		a + "+" + b,
 		stats.F3(combined),
 		stats.Pct(combined / soloSum),
-		stats.F3(o.avgLiveLong),
-		fmt.Sprintf("%d", o.sts[0].RecoveryStallCycles+o.sts[1].RecoveryStallCycles),
+		stats.F3(o.AvgLiveLong),
+		fmt.Sprintf("%d", o.Stats[0].RecoveryStallCycles+o.Stats[1].RecoveryStallCycles),
 	}, nil
 }

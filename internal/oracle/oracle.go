@@ -8,7 +8,12 @@
 // groups 5–8, groups 9–16, REST).
 package oracle
 
-import "sort"
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"sort"
+)
 
 // NumBuckets is the number of rank buckets in a distribution.
 const NumBuckets = 6
@@ -43,10 +48,62 @@ type Analyzer struct {
 	// D is the number of low-order bits ignored when grouping.
 	D int
 
-	buckets [NumBuckets]uint64
-	total   uint64
-	samples uint64
+	counts  Counts
 	scratch map[uint64]int
+}
+
+// Counts is an analyzer's accumulation as a plain value: live values
+// per rank bucket over every sampled cycle. It is what a distribution
+// is computed from, and what a cached run keeps of its analyzers.
+type Counts struct {
+	Buckets [NumBuckets]uint64
+	Total   uint64 // live values sampled
+	Samples uint64 // cycles sampled
+}
+
+// Merge folds o's accumulation into c (used to aggregate across
+// benchmarks).
+func (c *Counts) Merge(o Counts) {
+	for i := range c.Buckets {
+		c.Buckets[i] += o.Buckets[i]
+	}
+	c.Total += o.Total
+	c.Samples += o.Samples
+}
+
+// Distribution returns the fraction of live values in each rank bucket.
+func (c Counts) Distribution() [NumBuckets]float64 {
+	var out [NumBuckets]float64
+	if c.Total == 0 {
+		return out
+	}
+	for i, n := range c.Buckets {
+		out[i] = float64(n) / float64(c.Total)
+	}
+	return out
+}
+
+// MarshalBinary encodes c as its fixed-width fields in declaration
+// order, so gob carries Counts as one opaque value.
+func (c Counts) MarshalBinary() ([]byte, error) { return marshalFixed(c) }
+
+// UnmarshalBinary decodes what MarshalBinary encoded.
+func (c *Counts) UnmarshalBinary(b []byte) error { return unmarshalFixed(b, c) }
+
+// marshalFixed encodes a value of fixed-width fields little-endian.
+func marshalFixed(v any) ([]byte, error) {
+	var b bytes.Buffer
+	err := binary.Write(&b, binary.LittleEndian, v)
+	return b.Bytes(), err
+}
+
+// unmarshalFixed decodes what marshalFixed encoded into v, rejecting
+// input of any other length.
+func unmarshalFixed(b []byte, v any) error {
+	if len(b) != binary.Size(v) {
+		return fmt.Errorf("oracle: %d bytes, want %d", len(b), binary.Size(v))
+	}
+	return binary.Read(bytes.NewReader(b), binary.LittleEndian, v)
 }
 
 // NewAnalyzer returns an analyzer grouping values by their high 64−d
@@ -76,36 +133,20 @@ func (a *Analyzer) Sample(values []uint64) {
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
 	for i, n := range sizes {
-		a.buckets[bucketOf(i+1)] += uint64(n)
+		a.counts.Buckets[bucketOf(i+1)] += uint64(n)
 	}
-	a.total += uint64(len(values))
-	a.samples++
+	a.counts.Total += uint64(len(values))
+	a.counts.Samples++
 }
 
 // Samples returns the number of accumulated cycles.
-func (a *Analyzer) Samples() uint64 { return a.samples }
+func (a *Analyzer) Samples() uint64 { return a.counts.Samples }
+
+// Counts returns a copy of the accumulation.
+func (a *Analyzer) Counts() Counts { return a.counts }
 
 // Distribution returns the fraction of live values in each rank bucket.
-func (a *Analyzer) Distribution() [NumBuckets]float64 {
-	var out [NumBuckets]float64
-	if a.total == 0 {
-		return out
-	}
-	for i, n := range a.buckets {
-		out[i] = float64(n) / float64(a.total)
-	}
-	return out
-}
-
-// Merge folds another analyzer's accumulation into a (used to aggregate
-// across benchmarks).
-func (a *Analyzer) Merge(b *Analyzer) {
-	for i := range a.buckets {
-		a.buckets[i] += b.buckets[i]
-	}
-	a.total += b.total
-	a.samples += b.samples
-}
+func (a *Analyzer) Distribution() [NumBuckets]float64 { return a.counts.Distribution() }
 
 // Fanout feeds one live-value stream to several analyzers (e.g. d = 0,
 // 8, 12, 16 in a single simulation).

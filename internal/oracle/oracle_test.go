@@ -78,11 +78,12 @@ func TestMerge(t *testing.T) {
 	a, b := NewAnalyzer(0), NewAnalyzer(0)
 	a.Sample([]uint64{1, 1})
 	b.Sample([]uint64{2, 3})
-	a.Merge(b)
-	if a.Samples() != 2 {
-		t.Errorf("merged samples = %d", a.Samples())
+	c := a.Counts()
+	c.Merge(b.Counts())
+	if c.Samples != 2 {
+		t.Errorf("merged samples = %d", c.Samples)
 	}
-	d := a.Distribution()
+	d := c.Distribution()
 	// a: both in G1 (2 values); b: G1=1, G2=1. Total: G1=3/4, G2=1/4.
 	if d[0] != 0.75 || d[1] != 0.25 {
 		t.Errorf("merged distribution = %v", d)
@@ -153,12 +154,12 @@ func TestStreamAnalyzerWindowEviction(t *testing.T) {
 	s.Note(2)
 	s.Note(3) // evicts 1
 	s.Note(1) // miss: 1 left the window
-	if s.covered != 0 {
-		t.Errorf("covered = %d, want 0", s.covered)
+	if s.counts.Covered != 0 {
+		t.Errorf("covered = %d, want 0", s.counts.Covered)
 	}
 	s.Note(3) // still in window (3 was noted 2 back... window holds {1,3} now)
-	if s.covered != 1 {
-		t.Errorf("covered = %d, want 1", s.covered)
+	if s.counts.Covered != 1 {
+		t.Errorf("covered = %d, want 1", s.counts.Covered)
 	}
 }
 
@@ -167,11 +168,12 @@ func TestStreamAnalyzerMerge(t *testing.T) {
 	a.Note(100)
 	a.Note(100)
 	b.Note(200)
-	a.Merge(b)
-	if a.Total() != 3 {
-		t.Errorf("merged total = %d", a.Total())
+	c := a.Counts()
+	c.Merge(b.Counts())
+	if c.Total != 3 {
+		t.Errorf("merged total = %d", c.Total)
 	}
-	if got := a.Coverage(); got < 0.33 || got > 0.34 {
+	if got := c.Coverage(); got < 0.33 || got > 0.34 {
 		t.Errorf("merged coverage = %v", got)
 	}
 }

@@ -12,12 +12,39 @@ type StreamAnalyzer struct {
 	D      int
 	Window int
 
-	ring    []uint64
-	pos     int
-	filled  bool
-	total   uint64
-	covered uint64
+	ring   []uint64
+	pos    int
+	counts StreamCounts
 }
+
+// StreamCounts is a stream analyzer's accumulation as a plain value:
+// elements observed and elements covered by a recent similar one.
+type StreamCounts struct {
+	Total, Covered uint64
+}
+
+// Merge folds o's counts into c. Window contents are not counts, so
+// per-workload analyzers are merged at reporting time.
+func (c *StreamCounts) Merge(o StreamCounts) {
+	c.Total += o.Total
+	c.Covered += o.Covered
+}
+
+// Coverage returns the fraction of elements whose high bits matched a
+// recent element.
+func (c StreamCounts) Coverage() float64 {
+	if c.Total == 0 {
+		return 0
+	}
+	return float64(c.Covered) / float64(c.Total)
+}
+
+// MarshalBinary encodes c as its fixed-width fields in declaration
+// order, so gob carries StreamCounts as one opaque value.
+func (c StreamCounts) MarshalBinary() ([]byte, error) { return marshalFixed(c) }
+
+// UnmarshalBinary decodes what MarshalBinary encoded.
+func (c *StreamCounts) UnmarshalBinary(b []byte) error { return unmarshalFixed(b, c) }
 
 // NewStreamAnalyzer returns an analyzer for (64−d)-similarity over a
 // sliding window of the given size.
@@ -31,10 +58,10 @@ func NewStreamAnalyzer(d, window int) *StreamAnalyzer {
 // Note records one stream element.
 func (s *StreamAnalyzer) Note(v uint64) {
 	key := v >> uint(s.D)
-	s.total++
+	s.counts.Total++
 	for _, k := range s.ring {
 		if k == key {
-			s.covered++
+			s.counts.Covered++
 			break
 		}
 	}
@@ -47,20 +74,11 @@ func (s *StreamAnalyzer) Note(v uint64) {
 }
 
 // Total returns the number of elements observed.
-func (s *StreamAnalyzer) Total() uint64 { return s.total }
+func (s *StreamAnalyzer) Total() uint64 { return s.counts.Total }
+
+// Counts returns a copy of the accumulation.
+func (s *StreamAnalyzer) Counts() StreamCounts { return s.counts }
 
 // Coverage returns the fraction of elements whose high bits matched a
 // recent element.
-func (s *StreamAnalyzer) Coverage() float64 {
-	if s.total == 0 {
-		return 0
-	}
-	return float64(s.covered) / float64(s.total)
-}
-
-// Merge folds another analyzer's counts into s (window contents are not
-// merged; use per-workload analyzers and merge at reporting time).
-func (s *StreamAnalyzer) Merge(o *StreamAnalyzer) {
-	s.total += o.total
-	s.covered += o.covered
-}
+func (s *StreamAnalyzer) Coverage() float64 { return s.counts.Coverage() }

@@ -22,6 +22,7 @@
 package profile
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"carf/internal/stats"
@@ -110,6 +111,36 @@ type CPIStack struct {
 	Width  int
 	Cycles uint64
 	Slots  [NumCategories]uint64
+}
+
+// cpiStackBytes is the size of CPIStack's binary encoding: Width,
+// Cycles and every slot count as 64-bit words.
+const cpiStackBytes = 8 * (2 + int(NumCategories))
+
+// MarshalBinary encodes s as fixed-width little-endian words (Width,
+// Cycles, then Slots in category order), so gob carries a CPIStack as
+// one opaque value.
+func (s CPIStack) MarshalBinary() ([]byte, error) {
+	b := make([]byte, 0, cpiStackBytes)
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.Width))
+	b = binary.LittleEndian.AppendUint64(b, s.Cycles)
+	for _, v := range s.Slots {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes what MarshalBinary encoded.
+func (s *CPIStack) UnmarshalBinary(b []byte) error {
+	if len(b) != cpiStackBytes {
+		return fmt.Errorf("profile: CPI stack encoding is %d bytes, want %d", len(b), cpiStackBytes)
+	}
+	s.Width = int(int64(binary.LittleEndian.Uint64(b)))
+	s.Cycles = binary.LittleEndian.Uint64(b[8:])
+	for i := range s.Slots {
+		s.Slots[i] = binary.LittleEndian.Uint64(b[16+8*i:])
+	}
+	return nil
 }
 
 // NewCPIStack builds a stack for a commit width.

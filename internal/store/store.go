@@ -396,8 +396,7 @@ func (s *Store) Store(key sched.Key, val any) {
 	payload, err := s.codec.Encode(val)
 	if err != nil {
 		// The value's type is not persistable (unregistered, contains
-		// unexported state). Expected for instrumented run families;
-		// count and move on.
+		// unexported state); count and move on.
 		s.count(func(st *Stats) { st.PutSkipped++ })
 		return
 	}

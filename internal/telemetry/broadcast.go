@@ -73,15 +73,21 @@ func NewBroadcaster(replay int, c *Counters) *Broadcaster {
 }
 
 // Publish marshals v to JSON and fans it out. It is a no-op after
-// Close or when v does not marshal.
+// Close or when v does not marshal. A stream with no follower and no
+// replay ring counts v as published without marshalling it: nobody
+// could ever read the frame.
 func (b *Broadcaster) Publish(v any) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.terminal != nil {
+		return
+	}
+	if len(b.subs) == 0 && b.replay == 0 {
+		b.c.Published.Add(1)
+		return
+	}
+	payload, err := json.Marshal(v)
+	if err != nil {
 		return
 	}
 	b.c.Published.Add(1)

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"carf/internal/sched"
@@ -296,5 +297,59 @@ func TestServeSSEWireFormat(t *testing.T) {
 	h := w.Header()
 	if h.Get("Content-Type") != "text/event-stream" || h.Get("Cache-Control") != "no-cache" || h.Get("Connection") != "keep-alive" {
 		t.Errorf("headers = %v", h)
+	}
+}
+
+// countedFrame counts how often it is marshalled.
+type countedFrame struct{ n *atomic.Int64 }
+
+func (f countedFrame) MarshalJSON() ([]byte, error) {
+	f.n.Add(1)
+	return []byte(`{"type":"counted"}`), nil
+}
+
+// TestBroadcasterMarshalsOnlyForReaders checks that a frame nobody can
+// read (no follower, no replay ring) is counted as published but never
+// marshalled, and that a frame with followers is marshalled exactly
+// once however many follow it.
+func TestBroadcasterMarshalsOnlyForReaders(t *testing.T) {
+	var marshals atomic.Int64
+	frame := countedFrame{&marshals}
+	var c Counters
+	b := NewBroadcaster(0, &c)
+	b.Publish(frame)
+	if n := marshals.Load(); n != 0 {
+		t.Errorf("unobserved publish marshalled %d times, want 0", n)
+	}
+	if p := c.Published.Load(); p != 1 {
+		t.Errorf("published = %d after an unobserved publish, want 1", p)
+	}
+
+	_, ch1, cancel1 := b.Subscribe()
+	defer cancel1()
+	_, ch2, cancel2 := b.Subscribe()
+	defer cancel2()
+	b.Publish(frame)
+	if n := marshals.Load(); n != 1 {
+		t.Errorf("publish to two followers marshalled %d times, want 1", n)
+	}
+	for i, ch := range []<-chan []byte{ch1, ch2} {
+		select {
+		case p := <-ch:
+			if string(p) != `{"type":"counted"}` {
+				t.Errorf("follower %d got %s", i, p)
+			}
+		default:
+			t.Errorf("follower %d got no frame", i)
+		}
+	}
+	if p := c.Published.Load(); p != 2 {
+		t.Errorf("published = %d, want 2", p)
+	}
+
+	b.Close(nil)
+	b.Publish(frame)
+	if n := marshals.Load(); n != 1 {
+		t.Errorf("publish after Close marshalled (%d marshals, want 1)", n)
 	}
 }
